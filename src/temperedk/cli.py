@@ -10,6 +10,7 @@ documents.  Exit codes: 0 success, 2 usage or validation problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,10 +73,13 @@ def _read_payload(text: str):
         text = sys.stdin.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the int-digit limit on long integer literals
         raise UsageError(f"malformed JSON payload: {exc}") from None
 
 
+# argparse parsers hold no per-call state, so one tree serves every main() call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="temperedk", description=__doc__)
     common = _Parser(add_help=False)

@@ -22,6 +22,8 @@ from .errors import InvalidN, InvalidTruncation, LabelMismatch
 
 SIGN_ID = "id"
 SIGN_SGN = "sgn"
+# sign slot labels, indexed by the sign twist eps of the character
+SIGNS = (SIGN_ID, SIGN_SGN)
 
 SlotLabel = Union[int, str]
 
@@ -152,13 +154,23 @@ class IsotropyDescriptor:
         return out
 
 
+def _coord_key(coord: tuple[SlotLabel, Fraction]):
+    label, t = coord
+    if isinstance(label, str):
+        return (1, 0 if label == SIGN_ID else 1, t)
+    return (0, label, t)
+
+
 @dataclass(frozen=True)
 class TemperedPoint:
     """A tempered representation: a component plus one scalar per block.
 
-    ``coords`` pairs each slot label with its scalar.  Raw points may
-    list the slots in any order; ``canonicalize_point`` sorts them and
-    checks that the labels match the component.
+    ``coords`` pairs each slot label with its scalar.  The slots may be
+    given in any order; they are stored sorted, discrete slots first (by
+    label, then scalar) and sign slots after (id before sgn, then
+    scalar).  Among equal labels the scalars end up nondecreasing, which
+    picks one representative per isotropy orbit.  The labels must match
+    the component's slots (``LabelMismatch`` otherwise).
     """
 
     component: Component
@@ -169,9 +181,18 @@ class TemperedPoint:
         for label, t in self.coords:
             if isinstance(label, bool) or not isinstance(label, (int, str)):
                 raise ValueError(f"bad slot label {label!r}")
-            if isinstance(label, str) and label not in (SIGN_ID, SIGN_SGN):
+            if isinstance(label, str) and label not in SIGNS:
                 raise ValueError(f"bad sign label {label!r}")
             fixed.append((label, Fraction(t)))
+        fixed.sort(key=_coord_key)
+        comp = self.component
+        # sorted slot labels of the component, in the order _coord_key gives
+        slots = comp.discrete + comp.signs if isinstance(comp, RealComponent) else comp.labels
+        labels = tuple(label for label, _ in fixed)
+        if labels != slots:
+            raise LabelMismatch(
+                f"coordinate labels {list(labels)} do not match component slots {list(slots)}"
+            )
         object.__setattr__(self, "coords", tuple(fixed))
 
 
@@ -229,33 +250,14 @@ def enumerate_components_complex(n: int, max_label: int) -> list[ComplexComponen
     ]
 
 
-def _coord_key(coord: tuple[SlotLabel, Fraction]):
-    label, t = coord
-    if isinstance(label, str):
-        return (1, 0 if label == SIGN_ID else 1, t)
-    return (0, label, t)
-
-
 def canonicalize_point(p: TemperedPoint) -> TemperedPoint:
-    """Sort the coords into canonical order after checking the labels.
+    """The orbit representative of ``p``: ``p`` itself.
 
-    Discrete slots come first (by label, then scalar), sign slots after
-    (id before sgn, then scalar).  Among equal labels the scalars end up
-    nondecreasing, which picks one representative per isotropy orbit.
-    Idempotent.
+    ``TemperedPoint`` sorts and checks its coords when it is built, so
+    this is the identity; it is kept as the named normal-form map of the
+    API.
     """
-    comp = p.component
-    if isinstance(comp, RealComponent):
-        expected = Counter(comp.discrete) + Counter(comp.signs)
-    else:
-        expected = Counter(comp.labels)
-    got = Counter(label for label, _ in p.coords)
-    if got != expected:
-        raise LabelMismatch(
-            f"coordinate labels {sorted(got.items(), key=str)} do not match component "
-            f"slots {sorted(expected.items(), key=str)}"
-        )
-    return TemperedPoint(comp, tuple(sorted(p.coords, key=_coord_key)))
+    return p
 
 
 def component_of(p: TemperedPoint) -> Component:

@@ -6,8 +6,9 @@ two-dimensional summand fills a discrete slot, each character a sign or
 character slot.  ``base_change_point`` restricts along C/R (a real point
 of GL(n) goes to a complex point of GL(n)); ``auto_induce_point``
 induces (a complex point of GL(n) goes to a real point of GL(2n)).
-Every map canonicalizes its input, so it is well defined on slot
-permutation orbits.
+Parameters and points are in normal form from construction, so every
+map is well defined on slot permutation orbits and builds its result
+once.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from .dual import (
     SIGN_ID,
     SIGN_SGN,
+    SIGNS,
     ComplexComponent,
     RealComponent,
     TemperedPoint,
-    canonicalize_point,
 )
 from .errors import SideMismatch
 from .weil import (
@@ -28,7 +29,6 @@ from .weil import (
     LParameter,
     RealCharacter,
     RealDiscreteSummand,
-    canonical_form,
 )
 
 
@@ -37,52 +37,43 @@ def llc_real(p: LParameter) -> TemperedPoint:
     if p.side != REAL:
         raise SideMismatch("llc_real expects a parameter over R")
     discrete, coords = [], []
-    id_count = sgn_count = 0
-    for s in canonical_form(p).summands:
+    sign_counts = [0, 0]
+    for s in p.summands:
         if isinstance(s, RealDiscreteSummand):
             discrete.append(s.ell)
             coords.append((s.ell, s.t))
-        elif s.eps == 0:
-            id_count += 1
-            coords.append((SIGN_ID, s.t))
         else:
-            sgn_count += 1
-            coords.append((SIGN_SGN, s.t))
-    comp = RealComponent(tuple(discrete), id_count, sgn_count)
-    return canonicalize_point(TemperedPoint(comp, tuple(coords)))
+            sign_counts[s.eps] += 1
+            coords.append((SIGNS[s.eps], s.t))
+    comp = RealComponent(tuple(discrete), *sign_counts)
+    return TemperedPoint(comp, tuple(coords))
 
 
 def llc_real_inv(p: TemperedPoint) -> LParameter:
     """Parameter attached to a tempered point of GL(n, R)."""
     if not isinstance(p.component, RealComponent):
         raise SideMismatch("llc_real_inv expects a point over R")
-    p = canonicalize_point(p)
-    summands = []
-    for label, t in p.coords:
-        if isinstance(label, str):
-            summands.append(RealCharacter(0 if label == SIGN_ID else 1, t))
-        else:
-            summands.append(RealDiscreteSummand(label, t))
-    return canonical_form(LParameter(REAL, tuple(summands)))
+    summands = tuple(
+        RealCharacter(SIGNS.index(label), t) if isinstance(label, str)
+        else RealDiscreteSummand(label, t)
+        for label, t in p.coords
+    )
+    return LParameter(REAL, summands)
 
 
 def llc_complex(p: LParameter) -> TemperedPoint:
     """Tempered point of GL(n, C) attached to an n-dimensional parameter."""
     if p.side != COMPLEX:
         raise SideMismatch("llc_complex expects a parameter over C")
-    chars = canonical_form(p).summands
-    comp = ComplexComponent(tuple(s.ell for s in chars))
-    coords = tuple((s.ell, s.t) for s in chars)
-    return canonicalize_point(TemperedPoint(comp, coords))
+    comp = ComplexComponent(tuple(s.ell for s in p.summands))
+    return TemperedPoint(comp, tuple((s.ell, s.t) for s in p.summands))
 
 
 def llc_complex_inv(p: TemperedPoint) -> LParameter:
     """Parameter attached to a tempered point of GL(n, C)."""
     if not isinstance(p.component, ComplexComponent):
         raise SideMismatch("llc_complex_inv expects a point over C")
-    p = canonicalize_point(p)
-    summands = tuple(ComplexCharacter(label, t) for label, t in p.coords)
-    return canonical_form(LParameter(COMPLEX, summands))
+    return LParameter(COMPLEX, tuple(ComplexCharacter(label, t) for label, t in p.coords))
 
 
 def base_change_point(p: TemperedPoint) -> TemperedPoint:
@@ -95,7 +86,6 @@ def base_change_point(p: TemperedPoint) -> TemperedPoint:
     """
     if not isinstance(p.component, RealComponent):
         raise SideMismatch("base_change_point expects a point over R")
-    p = canonicalize_point(p)
     coords = []
     for label, t in p.coords:
         if isinstance(label, str):
@@ -104,7 +94,7 @@ def base_change_point(p: TemperedPoint) -> TemperedPoint:
             coords.append((label, t))
             coords.append((-label, t))
     comp = ComplexComponent(tuple(label for label, _ in coords))
-    return canonicalize_point(TemperedPoint(comp, tuple(coords)))
+    return TemperedPoint(comp, tuple(coords))
 
 
 def auto_induce_point(p: TemperedPoint) -> TemperedPoint:
@@ -116,7 +106,6 @@ def auto_induce_point(p: TemperedPoint) -> TemperedPoint:
     """
     if not isinstance(p.component, ComplexComponent):
         raise SideMismatch("auto_induce_point expects a point over C")
-    p = canonicalize_point(p)
     discrete, coords = [], []
     zeros = 0
     for label, t in p.coords:
@@ -128,4 +117,4 @@ def auto_induce_point(p: TemperedPoint) -> TemperedPoint:
             discrete.append(abs(label))
             coords.append((abs(label), t))
     comp = RealComponent(tuple(discrete), zeros, zeros)
-    return canonicalize_point(TemperedPoint(comp, tuple(coords)))
+    return TemperedPoint(comp, tuple(coords))

@@ -10,6 +10,7 @@ so identical invocations give identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .dual import (
@@ -41,13 +42,21 @@ def fraction_from_json(value) -> Fraction:
     if isinstance(value, bool):
         raise UsageError(f"bad rational {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        t = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return Fraction(value)
+            t = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational {value!r}: {exc}") from None
-    raise UsageError(f'rationals must be integers or "p/q" strings, got {value!r}')
+    else:
+        raise UsageError(f'rationals must be integers or "p/q" strings, got {value!r}')
+    # a part that cannot be printed back would fail only at render time;
+    # 8**limit < 10**limit, so the power is only computed for long parts
+    limit = sys.get_int_max_str_digits()
+    part = max(abs(t.numerator), t.denominator)
+    if limit and part.bit_length() > 3 * limit and part >= 10**limit:
+        raise UsageError(f"rational has a numerator or denominator longer than {limit} digits")
+    return t
 
 
 def _require(doc, key, kind=None):
@@ -56,7 +65,9 @@ def _require(doc, key, kind=None):
     if key not in doc:
         raise UsageError(f"missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true/false is never an integer
+    if kind is not None and (not isinstance(value, kind)
+                             or (kind is int and isinstance(value, bool))):
         raise UsageError(f"key {key!r} has the wrong type")
     return value
 
@@ -171,15 +182,12 @@ def kclass_to_doc(x: KClass) -> dict:
 
 def kclass_from_doc(doc) -> KClass:
     degree = _require(doc, "degree", int)
-    if isinstance(degree, bool) or degree not in (0, 1):
+    if degree not in (0, 1):
         raise UsageError(f"degree must be 0 or 1, got {degree!r}")
     terms = []
     for entry in _require(doc, "terms", list):
         gen = component_from_doc(_require(entry, "gen"))
-        coeff = _require(entry, "coeff", int)
-        if isinstance(coeff, bool):
-            raise UsageError("coefficients must be integers")
-        terms.append((gen, coeff))
+        terms.append((gen, _require(entry, "coeff", int)))
     return KClass(degree, tuple(terms))
 
 
@@ -195,10 +203,7 @@ def repring_from_doc(doc) -> RepRingElement:
     coeffs = []
     for entry in _require(doc, "coeffs", list):
         label = _require(entry, "label")
-        coeff = _require(entry, "coeff", int)
-        if isinstance(coeff, bool):
-            raise UsageError("coefficients must be integers")
-        coeffs.append((label, coeff))
+        coeffs.append((label, _require(entry, "coeff", int)))
     try:
         return RepRingElement(ring, tuple(coeffs))
     except ValueError as exc:

@@ -11,14 +11,16 @@ two-dimensional summands induced from ``chi_{ell,t}``.  The labels
 canonical two-dimensional summand always carries ``ell >= 1``.
 
 A full parameter is a finite direct sum of irreducibles, kept as a
-multiset.  All scalars are exact rationals (``fractions.Fraction``), so
-every operation in this package is exact and equality is decidable.
+multiset, in normal form from the moment it is built, so structural
+equality is equivalence.  All scalars are exact rationals
+(``fractions.Fraction``), so every operation in this package is exact
+and equality is decidable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -64,9 +66,9 @@ class RealCharacter:
 class RealDiscreteSummand:
     """Two-dimensional summand over R with winding label ``ell`` and scalar ``t``.
 
-    Raw labels ``ell <= 0`` are accepted on input; ``canonical_form``
+    Raw labels ``ell <= 0`` are accepted on input; ``LParameter``
     rewrites ``-ell`` as ``ell`` and splits ``ell = 0`` into the two sign
-    characters.  Canonical parameters only ever contain ``ell >= 1``.
+    characters.  Parameters only ever contain ``ell >= 1``.
     """
 
     ell: int
@@ -96,24 +98,33 @@ def _summand_key(s: Summand):
 class LParameter:
     """Finite direct sum of irreducible summands over one side (R or C).
 
-    The ``canonical`` flag is metadata set by ``canonical_form`` and does
-    not take part in equality; two parameters are structurally equal when
-    their summand tuples agree.
+    The summands may be given raw and in any order.  Over R every
+    two-dimensional summand is stored with label >= 1: a negative label
+    is replaced by its absolute value and a label-0 summand splits into
+    RealCharacter(0, t) + RealCharacter(1, t).  Summands are then sorted
+    in the canonical total order.
     """
 
     side: str
     summands: tuple[Summand, ...]
-    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.side not in (REAL, COMPLEX):
             raise ValueError(f"side must be {REAL!r} or {COMPLEX!r}, got {self.side!r}")
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if not self.summands:
-            raise ValueError("a parameter needs at least one summand")
+        out: list[Summand] = []
         for s in self.summands:
             if s.side != self.side:
                 raise SideMismatch(f"summand {s!r} does not live over side {self.side!r}")
+            if isinstance(s, RealDiscreteSummand) and s.ell < 1:
+                if s.ell == 0:
+                    out += (RealCharacter(0, s.t), RealCharacter(1, s.t))
+                    continue
+                s = RealDiscreteSummand(-s.ell, s.t)
+            out.append(s)
+        if not out:
+            raise ValueError("a parameter needs at least one summand")
+        out.sort(key=_summand_key)
+        object.__setattr__(self, "summands", tuple(out))
 
     @property
     def dim(self) -> int:
@@ -152,44 +163,28 @@ def galois_conjugate(chi: ComplexCharacter) -> ComplexCharacter:
 
 
 def canonical_form(p: LParameter) -> LParameter:
-    """Rewrite a parameter as its canonical multiset representative.
+    """The canonical multiset representative of ``p``: ``p`` itself.
 
-    Over R every two-dimensional summand ends up with label >= 1: a
-    negative label is replaced by its absolute value and a label-0
-    summand splits into RealCharacter(0, t) + RealCharacter(1, t).
-    Summands are then sorted in the canonical total order.  Idempotent.
+    ``LParameter`` normalizes its summands when it is built, so this is
+    the identity; it is kept as the named normal-form map of the API.
     """
-    out: list[Summand] = []
-    if p.side == REAL:
-        for s in p.summands:
-            if isinstance(s, RealDiscreteSummand):
-                if s.ell == 0:
-                    out.append(RealCharacter(0, s.t))
-                    out.append(RealCharacter(1, s.t))
-                else:
-                    out.append(RealDiscreteSummand(abs(s.ell), s.t))
-            else:
-                out.append(s)
-    else:
-        out = list(p.summands)
-    out.sort(key=_summand_key)
-    return LParameter(p.side, tuple(out), canonical=True)
+    return p
 
 
 def equivalent(a: LParameter, b: LParameter) -> bool:
     """Whether two parameters are equivalent (equal canonical multisets)."""
     if a.side != b.side:
         raise SideMismatch("cannot compare parameters over different sides")
-    return canonical_form(a).summands == canonical_form(b).summands
+    return a == b
 
 
 def decompose(p: LParameter) -> tuple[Summand, ...]:
     """Multiset of canonical irreducible summands, in canonical order."""
-    return canonical_form(p).summands
+    return p.summands
 
 
 def is_irreducible(p: LParameter) -> bool:
-    return len(decompose(p)) == 1
+    return len(p.summands) == 1
 
 
 def restrict_to_C(p: LParameter) -> LParameter:
@@ -203,13 +198,13 @@ def restrict_to_C(p: LParameter) -> LParameter:
     if p.side != REAL:
         raise SideMismatch("restrict_to_C expects a parameter over R")
     out: list[Summand] = []
-    for s in decompose(p):
+    for s in p.summands:
         if isinstance(s, RealCharacter):
             out.append(ComplexCharacter(0, 2 * s.t))
         else:
             out.append(ComplexCharacter(s.ell, s.t))
             out.append(ComplexCharacter(-s.ell, s.t))
-    return canonical_form(LParameter(COMPLEX, tuple(out)))
+    return LParameter(COMPLEX, tuple(out))
 
 
 def induce_to_R(chi: ComplexCharacter) -> LParameter:
@@ -226,7 +221,7 @@ def induce_to_R(chi: ComplexCharacter) -> LParameter:
     else:
         half = chi.t / 2
         summands = (RealCharacter(0, half), RealCharacter(1, half))
-    return canonical_form(LParameter(REAL, summands))
+    return LParameter(REAL, summands)
 
 
 def hom_dim(a: LParameter, b: LParameter) -> int:
@@ -237,6 +232,6 @@ def hom_dim(a: LParameter, b: LParameter) -> int:
     """
     if a.side != b.side:
         raise SideMismatch("hom_dim expects parameters over a common side")
-    mult_a = Counter(decompose(a))
-    mult_b = Counter(decompose(b))
+    mult_a = Counter(a.summands)
+    mult_b = Counter(b.summands)
     return sum(m * mult_b[s] for s, m in mult_a.items())

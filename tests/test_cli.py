@@ -221,6 +221,36 @@ def test_usage_errors_exit_2(capsys):
         assert set(doc) == {"error", "detail"}
 
 
+def test_oversized_rationals_rejected_at_decode(capsys):
+    limit = sys.get_int_max_str_digits()
+    payloads = [
+        # a JSON integer literal past the interpreter's digit limit
+        '{"field":"C","n":1,"labels":[0],"coords":[{"label":0,"t":1%s}]}' % ("0" * limit),
+        # parts that parse, but could not be printed back
+        '{"field":"C","n":1,"labels":[0],"coords":[{"label":0,"t":"1e%d"}]}' % limit,
+        '{"field":"C","n":1,"labels":[0],"coords":[{"label":0,"t":"1e-%d"}]}' % limit,
+    ]
+    for payload in payloads:
+        code, out, err = run_cli(capsys, "basechange", "--point", payload)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "UsageError"
+    # the longest printable part is still accepted
+    payload = '{"field":"C","n":1,"labels":[0],"coords":[{"label":0,"t":"1e%d"}]}' % (limit - 1)
+    code, _, _ = run_cli(capsys, "autoinduce", "--point", payload)
+    assert code == 0
+
+
+def test_rejected_call_leaves_next_call_unchanged(capsys):
+    # the parser is built once per process and shared by every main() call
+    argv = ("components", "--field", "R", "--n", "2", "--max-label", "2")
+    _, alone, _ = run_cli(capsys, *argv)
+    code, _, _ = run_cli(capsys, "components", "--field", "R", "--n", "2")
+    assert code == 2
+    code, after, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert after == alone
+
+
 def test_validation_error_names_surface(capsys):
     code, _, err = run_cli(
         capsys, "components", "--field", "R", "--n", "2", "--max-label", "0"

@@ -243,6 +243,8 @@ def test_canonicalize_point_invariant_under_slot_shuffles(pt, rng):
     rng.shuffle(coords)
     other = TemperedPoint(pt.component, tuple(coords))
     assert canonicalize_point(other) == canonicalize_point(pt)
+    # normal form is reached at construction: the shuffled point is equal
+    assert other == pt
 
 
 @given(raw_points(), st.randoms(use_true_random=False))
@@ -269,3 +271,8 @@ def test_point_rejects_bad_labels():
     comp = RealComponent((), 1, 0)
     with pytest.raises(ValueError):
         TemperedPoint(comp, (("flip", 1),))
+    # labels that do not match the component's slots fail at construction
+    with pytest.raises(LabelMismatch):
+        TemperedPoint(comp, (("sgn", 1),))
+    with pytest.raises(LabelMismatch):
+        TemperedPoint(RealComponent((2,), 1, 0), ((2, 0), ("id", 1), ("id", 2)))

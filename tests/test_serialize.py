@@ -127,6 +127,18 @@ def test_from_doc_validation():
         kclass_from_doc({"degree": 3, "terms": []})
     with pytest.raises(UsageError):
         repring_from_doc({"ring": "U(1)", "coeffs": [{"label": "1", "coeff": 1}]})
+    # JSON booleans are never integers
+    gen = {"field": "C", "n": 1, "labels": [0]}
+    for bad in (
+        lambda: parameter_from_doc({"side": "R", "summands": [{"kind": "character", "eps": True, "t": "0"}]}),
+        lambda: parameter_from_doc({"side": "C", "summands": [{"ell": False, "t": "0"}]}),
+        lambda: component_from_doc({"field": "C", "n": True, "labels": [0]}),
+        lambda: kclass_from_doc({"degree": True, "terms": []}),
+        lambda: kclass_from_doc({"degree": 1, "terms": [{"gen": gen, "coeff": True}]}),
+        lambda: repring_from_doc({"ring": "U(1)", "coeffs": [{"label": 0, "coeff": False}]}),
+    ):
+        with pytest.raises(UsageError):
+            bad()
 
 
 def test_render_json_is_deterministic():

@@ -74,12 +74,6 @@ def test_canonical_form_orders_within_families():
     )
 
 
-def test_canonical_form_marks_output():
-    p = real_parameter(RealCharacter(0, 0))
-    assert not p.canonical
-    assert canonical_form(p).canonical
-
-
 @given(parameters)
 def test_canonical_form_idempotent(p):
     c = canonical_form(p)
@@ -156,6 +150,8 @@ def test_equivalence_relation_properties(pair):
     c = canonical_form(p)
     assert equivalent(p, p)
     assert equivalent(p, q) and equivalent(q, p)
+    # normal form is reached at construction: the shuffled parameter is equal
+    assert p == q
     # transitivity across the chain p ~ q ~ canonical(p)
     assert equivalent(q, c) and equivalent(p, c)
 
