@@ -242,8 +242,8 @@ def enumerate_components_complex(n: int, max_label: int) -> list[ComplexComponen
     """All components for GL(n, C) with labels in [-max_label, max_label]."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
-    if max_label < 0:
-        raise InvalidTruncation(f"max_label must be >= 0, got {max_label}")
+    if max_label < 1:
+        raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
     return [
         ComplexComponent(labels)
         for labels in combinations_with_replacement(range(-max_label, max_label + 1), n)

@@ -2,8 +2,8 @@
 
 Each non-cone component of the tempered dual is a euclidean space and
 contributes one free generator in the degree matching its dimension mod
-2; cone components contribute nothing.  ``k_group`` realizes the two
-graded pieces directly from the closed-form generator families:
+2; cone components contribute nothing.  The two graded pieces are free
+abelian on closed-form generator families:
 
 * GL(2q, R): degree q mod 2 has one generator per q-element set of
   distinct positive labels (all blocks of size 2); the other degree has
@@ -15,18 +15,23 @@ graded pieces directly from the closed-form generator families:
 * GL(n, C): degree n mod 2 has one generator per n-element set of
   distinct integer labels; the other degree vanishes.
 
-Generator lists are truncated at a label bound so they stay finite; the
-schema strings record the untruncated families.  ``k_bc_hom`` and
-``k_ai_hom`` build the base-change and automorphic-induction maps on
-K-theory, with rules defined label-wise so they extend beyond any
-truncation.
+``k_group`` truncates the families at a label bound and returns a
+``GradedKGroup`` that stores only (field, n, max_label).  Its ranks are
+binomial coefficients, its schema strings describe the untruncated
+families, its membership test checks the shape and labels of one
+component, and its generators are built only when they are listed.
+``k_bc_hom`` and ``k_ai_hom`` build the base-change and
+automorphic-induction maps on K-theory, with rules defined label-wise
+so they extend beyond any truncation; ``apply_hom`` is linear in the
+number of terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Union
+from math import comb
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .dual import Component, ComplexComponent, RealComponent, component_sort_key, is_cone
 from .errors import (
@@ -103,29 +108,90 @@ class KClass:
         return KClass(self.degree, tuple((g, scalar * c) for g, c in self.terms))
 
 
+# generator families of the graded pieces: each generator is a set of k
+# distinct labels, plus a fixed sign split in the real families
+_DISCRETE, _PAIR, _SIGN, _COMPLEX = "discrete", "pair", "sign", "complex"
+
+# (id_count, sgn_count) of the generators of each real family, in generator order
+_SIGN_COUNTS = {_DISCRETE: ((0, 0),), _PAIR: ((1, 1),), _SIGN: ((1, 0), (0, 1))}
+
+# schema text after "one generator per k-element set of distinct "
+_SCHEMA_TAIL = {
+    _DISCRETE: "positive discrete labels (r = 0 components)",
+    _PAIR: "positive discrete labels with the sign pair {id, sgn} (r = 2 components)",
+    _SIGN: "positive discrete labels and a sign character id or sgn (r = 1 components)",
+    _COMPLEX: "integer labels (components with trivial isotropy)",
+}
+
+
 @dataclass(frozen=True)
 class GradedKGroup:
-    """The two K-groups of one reduced group C*-algebra, truncated at a label bound."""
+    """The two K-groups of one reduced group C*-algebra, truncated at a label bound.
+
+    Only (field, n, max_label) is stored: ranks, schemas and membership
+    come from the closed-form families, and generators are built when
+    they are listed.
+    """
 
     field: str
     n: int
     max_label: int
-    gens0: tuple[Component, ...]
-    gens1: tuple[Component, ...]
-    schema0: str
-    schema1: str
 
-    def generators(self, degree: int) -> tuple[Component, ...]:
-        return (self.gens0, self.gens1)[_check_degree(degree)]
+    def _family(self, degree: int) -> tuple[Optional[str], int]:
+        """(family, label count k) of one degree; family None for the zero group."""
+        _check_degree(degree)
+        n = self.n
+        if self.field == REAL:
+            q = n // 2
+            if n % 2 == 0:
+                return (_DISCRETE, q) if degree == q % 2 else (_PAIR, q - 1)
+            return (_SIGN, q) if degree == (q + 1) % 2 else (None, 0)
+        return (_COMPLEX, n) if degree == n % 2 else (None, 0)
 
-    def schema(self, degree: int) -> str:
-        return (self.schema0, self.schema1)[_check_degree(degree)]
+    def _labels(self, family: str) -> range:
+        """The increasing range the family's label sets are drawn from."""
+        L = self.max_label
+        return range(-L, L + 1) if family == _COMPLEX else range(1, L + 1)
 
     def rank(self, degree: int) -> int:
-        return len(self.generators(degree))
+        family, k = self._family(degree)
+        if family is None:
+            return 0
+        return comb(len(self._labels(family)), k) * (2 if family == _SIGN else 1)
 
-    def zero(self, degree: int) -> KClass:
-        return KClass(_check_degree(degree))
+    def schema(self, degree: int) -> str:
+        family, k = self._family(degree)
+        if family is None:
+            return "0"
+        return f"free abelian, one generator per {k}-element set of distinct {_SCHEMA_TAIL[family]}"
+
+    def generators(self, degree: int) -> tuple[Component, ...]:
+        """The generators of one degree, in ``component_sort_key`` order."""
+        family, k = self._family(degree)
+        if family is None:
+            return ()
+        # combinations of an increasing range come out in lexicographic order
+        sets = combinations(self._labels(family), k)
+        if family == _COMPLEX:
+            return tuple(ComplexComponent(c) for c in sets)
+        signs = _SIGN_COUNTS[family]
+        return tuple(RealComponent(c, i, s) for c in sets for i, s in signs)
+
+    def contains(self, degree: int, gen: Component) -> bool:
+        """Whether ``gen`` is a degree-``degree`` generator, without listing any."""
+        family, k = self._family(degree)
+        if family == _COMPLEX and isinstance(gen, ComplexComponent):
+            labels = gen.labels
+        elif (
+            family in _SIGN_COUNTS
+            and isinstance(gen, RealComponent)
+            and (gen.id_count, gen.sgn_count) in _SIGN_COUNTS[family]
+        ):
+            labels = gen.discrete
+        else:
+            return False
+        bound = self._labels(family)
+        return len(labels) == k == len(set(labels)) and all(ell in bound for ell in labels)
 
 
 def k_ranks_component(c: Component) -> tuple[int, int]:
@@ -135,63 +201,15 @@ def k_ranks_component(c: Component) -> tuple[int, int]:
     return (1, 0) if c.dim % 2 == 0 else (0, 1)
 
 
-def _sorted_components(gens: Iterable[Component]) -> tuple[Component, ...]:
-    return tuple(sorted(gens, key=component_sort_key))
-
-
 def k_group(field_name: str, n: int, max_label: int) -> GradedKGroup:
     """Both K-groups for GL(n) over the named field, labels bounded by max_label."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     if max_label < 1:
         raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
-    labels = range(1, max_label + 1)
-    if field_name == REAL:
-        if n % 2 == 0:
-            q = n // 2
-            main = _sorted_components(
-                RealComponent(c) for c in combinations(labels, q)
-            )
-            pair = _sorted_components(
-                RealComponent(c, 1, 1) for c in combinations(labels, q - 1)
-            )
-            schema_main = (
-                f"free abelian, one generator per {q}-element set of distinct "
-                f"positive discrete labels (r = 0 components)"
-            )
-            schema_pair = (
-                f"free abelian, one generator per {q - 1}-element set of distinct "
-                f"positive discrete labels with the sign pair {{id, sgn}} (r = 2 components)"
-            )
-            if q % 2 == 0:
-                return GradedKGroup(field_name, n, max_label, main, pair, schema_main, schema_pair)
-            return GradedKGroup(field_name, n, max_label, pair, main, schema_pair, schema_main)
-        q = (n - 1) // 2
-        gens = []
-        for c in combinations(labels, q):
-            gens.append(RealComponent(c, 1, 0))
-            gens.append(RealComponent(c, 0, 1))
-        gens = _sorted_components(gens)
-        schema = (
-            f"free abelian, one generator per {q}-element set of distinct positive "
-            f"discrete labels and a sign character id or sgn (r = 1 components)"
-        )
-        if (q + 1) % 2 == 0:
-            return GradedKGroup(field_name, n, max_label, gens, (), schema, "0")
-        return GradedKGroup(field_name, n, max_label, (), gens, "0", schema)
-    if field_name == COMPLEX:
-        gens = _sorted_components(
-            ComplexComponent(c)
-            for c in combinations(range(-max_label, max_label + 1), n)
-        )
-        schema = (
-            f"free abelian, one generator per {n}-element set of distinct integer "
-            f"labels (components with trivial isotropy)"
-        )
-        if n % 2 == 0:
-            return GradedKGroup(field_name, n, max_label, gens, (), schema, "0")
-        return GradedKGroup(field_name, n, max_label, (), gens, "0", schema)
-    raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field_name!r}")
+    if field_name not in (REAL, COMPLEX):
+        raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field_name!r}")
+    return GradedKGroup(field_name, n, max_label)
 
 
 @dataclass(frozen=True)
@@ -204,7 +222,7 @@ class KHomomorphism:
     rule: Callable[[int, Component], KClass] = field(compare=False, repr=False)
 
     def on_generator(self, degree: int, gen: Component) -> KClass:
-        if gen not in self.domain.generators(_check_degree(degree)):
+        if not self.domain.contains(degree, gen):
             raise UnknownGenerator(f"{gen!r} is not a degree-{degree} domain generator")
         image = self.rule(degree, gen)
         if image.degree != degree:
@@ -214,10 +232,11 @@ class KHomomorphism:
 
 def apply_hom(h: KHomomorphism, x: KClass) -> KClass:
     """Image of a K-class, term by term; every term must be a domain generator."""
-    out = KClass(x.degree)
+    acc: dict[Component, int] = {}
     for gen, coeff in x.terms:
-        out = out + coeff * h.on_generator(x.degree, gen)
-    return out
+        for image_gen, c in h.on_generator(x.degree, gen).terms:
+            acc[image_gen] = acc.get(image_gen, 0) + coeff * c
+    return KClass(x.degree, acc)
 
 
 def k_bc_hom(n: int, max_label: int) -> KHomomorphism:

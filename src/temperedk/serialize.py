@@ -33,9 +33,17 @@ from .weil import (
 )
 
 
-def fraction_to_str(t: Fraction) -> str:
+def fraction_to_str(t: Fraction, name: str = "rational") -> str:
+    """``t`` as "p" or "p/q"; UsageError naming ``name`` if a part is too long to print."""
     t = Fraction(t)
-    return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+    try:
+        return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
+    except ValueError:
+        # a map can lengthen a scalar that was accepted at decode (base change doubles it)
+        raise UsageError(
+            f"{name} has a numerator or denominator longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def fraction_from_json(value) -> Fraction:
@@ -116,7 +124,10 @@ def component_from_doc(doc) -> Component:
 
 def point_to_doc(p: TemperedPoint) -> dict:
     doc = component_to_doc(p.component)
-    doc["coords"] = [{"label": label, "t": fraction_to_str(t)} for label, t in p.coords]
+    doc["coords"] = [
+        {"label": label, "t": fraction_to_str(t, f"coordinate t of slot {label}")}
+        for label, t in p.coords
+    ]
     return doc
 
 
@@ -135,13 +146,14 @@ def point_from_doc(doc) -> TemperedPoint:
 
 def parameter_to_doc(p: LParameter) -> dict:
     summands = []
-    for s in p.summands:
+    for i, s in enumerate(p.summands):
+        t = fraction_to_str(s.t, f"coordinate t of summand {i}")
         if isinstance(s, ComplexCharacter):
-            summands.append({"ell": s.ell, "t": fraction_to_str(s.t)})
+            summands.append({"ell": s.ell, "t": t})
         elif isinstance(s, RealCharacter):
-            summands.append({"kind": "character", "eps": s.eps, "t": fraction_to_str(s.t)})
+            summands.append({"kind": "character", "eps": s.eps, "t": t})
         else:
-            summands.append({"kind": "discrete", "ell": s.ell, "t": fraction_to_str(s.t)})
+            summands.append({"kind": "discrete", "ell": s.ell, "t": t})
     return {"side": p.side, "summands": summands}
 
 

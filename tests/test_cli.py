@@ -259,6 +259,30 @@ def test_validation_error_names_surface(capsys):
     assert json.loads(err)["error"] == "InvalidTruncation"
 
 
+def test_truncation_rule_same_for_both_fields(capsys):
+    code, out, err = run_cli(
+        capsys, "components", "--field", "C", "--n", "2", "--max-label", "0"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidTruncation"
+
+
+def test_overlong_result_is_a_named_error(capsys):
+    # decode accepts a scalar at the digit limit; base change doubles it past the limit
+    limit = sys.get_int_max_str_digits()
+    point = json.dumps({
+        "field": "R", "n": 1, "q": 0, "r": 1, "discrete": [], "signs": ["id"],
+        "coords": [{"label": "id", "t": "9" * limit}],
+    })
+    code, out, err = run_cli(capsys, "basechange", "--point", point)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "UsageError"
+    assert "slot 0" in doc["detail"]
+
+
 def test_output_byte_stable(capsys):
     argv = ("kgroup", "--field", "R", "--n", "4", "--max-label", "3")
     _, first, _ = run_cli(capsys, *argv)
@@ -278,12 +302,12 @@ def test_table_format(capsys):
 def test_module_invocation_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "temperedk", "components", "--field", "C", "--n", "1",
-         "--max-label", "0"],
+         "--max-label", "1"],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0
-    assert json.loads(result.stdout)["count"] == 1
+    assert json.loads(result.stdout)["count"] == 3
 
 
 def test_help_exits_zero():

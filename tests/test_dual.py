@@ -157,12 +157,14 @@ def test_enumerate_real_components_have_size_n():
 def test_enumerate_complex_examples():
     assert [c.labels for c in enumerate_components_complex(1, 1)] == [(-1,), (0,), (1,)]
     assert len(enumerate_components_complex(2, 1)) == 6
-    assert enumerate_components_complex(1, 0) == [ComplexComponent((0,))]
+    # the same truncation rule as over R: labels are bounded by max_label >= 1
+    with pytest.raises(InvalidTruncation):
+        enumerate_components_complex(1, 0)
 
 
 def test_enumerate_complex_counts_are_multiset_binomials():
     for n in (1, 2, 3):
-        for L in (0, 1, 2, 3):
+        for L in (1, 2, 3):
             size = 2 * L + 1
             assert len(enumerate_components_complex(n, L)) == comb(size + n - 1, n)
 

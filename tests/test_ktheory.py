@@ -30,6 +30,8 @@ from temperedk import (
     repring_bc,
 )
 
+from temperedk import ktheory
+
 from _strategies import components
 
 
@@ -139,6 +141,81 @@ def test_k_group_errors():
         k_group("Q", 2, 2)
     with pytest.raises(DegreeMismatch):
         k_group("R", 2, 2).generators(2)
+
+
+# the lazy group: closed-form ranks and a structural membership test
+
+@pytest.mark.parametrize("field_name", ["R", "C"])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("max_label", range(1, 7))
+def test_contains_matches_generator_listing(field_name, n, max_label):
+    group = k_group(field_name, n, max_label)
+    # labels one past the bound, cones, the other degree's family, a
+    # neighbouring size and the other field
+    near = max_label + 1
+    universe = [
+        *enumerate_components_real(n, near if field_name == "R" else 1),
+        *enumerate_components_complex(n, near if field_name == "C" else 1),
+        *enumerate_components_real(n + 1, 1),
+        *enumerate_components_complex(n + 1, 1),
+    ]
+    for degree in (0, 1):
+        listed = set(group.generators(degree))
+        assert listed <= set(universe)
+        for gen in universe:
+            assert group.contains(degree, gen) == (gen in listed)
+
+
+def _forbid_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generators were listed")
+
+    monkeypatch.setattr(ktheory, "combinations", refuse)
+
+
+def test_rank_of_a_huge_group_without_listing(monkeypatch):
+    _forbid_listing(monkeypatch)
+    group = k_group("C", 6, 40)
+    assert group.rank(0) == comb(81, 6) == 324_540_216
+    assert group.rank(1) == 0
+    assert group.contains(0, ComplexComponent((-40, -3, 0, 1, 2, 40)))
+    assert not group.contains(0, ComplexComponent((-41, -3, 0, 1, 2, 40)))
+
+
+def test_k_bc_hom_is_zero_without_listing(monkeypatch):
+    _forbid_listing(monkeypatch)
+    h = k_bc_hom(4, 30)
+    x = KClass(0, ((ComplexComponent((-30, -1, 5, 30)), 3), (ComplexComponent((0, 1, 2, 3)), -2)))
+    assert apply_hom(h, x) == KClass(0)
+
+
+def test_unknown_generator_under_lazy_groups():
+    h = k_bc_hom(4, 30)
+    outside = [
+        KClass(0, ((ComplexComponent((1, 2, 3, 31)), 1),)),  # label past the bound
+        KClass(0, ((ComplexComponent((1, 1, 2, 3)), 1),)),  # a cone
+        KClass(1, ((ComplexComponent((1, 2, 3, 4)), 1),)),  # the zero degree
+        KClass(0, ((ComplexComponent((1, 2, 3)), 1),)),  # the wrong size
+    ]
+    for x in outside:
+        with pytest.raises(UnknownGenerator):
+            apply_hom(h, x)
+    h = k_ai_hom(2, 5)
+    with pytest.raises(UnknownGenerator):
+        apply_hom(h, KClass(0, ((RealComponent((1, 6)), 1),)))
+    with pytest.raises(UnknownGenerator):
+        apply_hom(h, KClass(1, ((RealComponent((2,), 2, 0), 1),)))
+
+
+def test_apply_hom_on_a_whole_basis():
+    h = k_ai_hom(2, 40)
+    basis = h.domain.generators(0)
+    x = KClass(0, tuple((g, i + 1) for i, g in enumerate(basis)))
+    image = apply_hom(h, x)
+    assert len(image.terms) == len(basis) == comb(40, 2)
+    assert image.terms == tuple(
+        (ComplexComponent(g.discrete), i + 1) for i, g in enumerate(basis)
+    )
 
 
 # K-class arithmetic
