@@ -31,7 +31,6 @@ from .langlands import (
     llc_real_inv,
 )
 from .serialize import (
-    component_to_doc,
     kclass_from_doc,
     kclass_to_doc,
     kgroup_to_doc,
@@ -144,7 +143,7 @@ def _cmd_components(args) -> dict:
         "n": args.n,
         "max_label": args.max_label,
         "count": len(comps),
-        "components": [component_to_doc(c) for c in comps],
+        "components": comps,
     }
 
 
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _print_error(exc)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         _print_error(exc)
         return 3
     print(output)

@@ -61,12 +61,14 @@ class RealComponent:
     field = "R"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "discrete", tuple(sorted(self.discrete)))
-        if any(ell < 1 for ell in self.discrete):
+        discrete = tuple(sorted(self.discrete))
+        object.__setattr__(self, "discrete", discrete)
+        # sorted, so the first label is the least
+        if discrete and discrete[0] < 1:
             raise ValueError("discrete-series labels must be >= 1")
         if self.id_count < 0 or self.sgn_count < 0:
             raise ValueError("sign counts must be nonnegative")
-        if self.n < 1:
+        if not (discrete or self.id_count + self.sgn_count):
             raise InvalidN("a component needs n >= 1")
 
     @property

@@ -55,6 +55,13 @@ def _check_degree(degree: int) -> int:
     return degree
 
 
+def _check_coeff(coeff) -> int:
+    # bool is a subclass of int, but True is not a coefficient
+    if isinstance(coeff, bool) or not isinstance(coeff, int):
+        raise TypeError(f"coefficients must be integers, got {coeff!r}")
+    return coeff
+
+
 @dataclass(frozen=True)
 class KClass:
     """Integer combination of component generators in one degree.
@@ -72,7 +79,7 @@ class KClass:
         acc: dict[Component, int] = {}
         items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
         for gen, coeff in items:
-            acc[gen] = acc.get(gen, 0) + int(coeff)
+            acc[gen] = acc.get(gen, 0) + _check_coeff(coeff)
         normalized = tuple(
             sorted(
                 ((gen, coeff) for gen, coeff in acc.items() if coeff != 0),
@@ -297,7 +304,7 @@ class RepRingElement:
         items = self.coeffs.items() if isinstance(self.coeffs, Mapping) else self.coeffs
         for label, coeff in items:
             self._check_label(label)
-            acc[label] = acc.get(label, 0) + int(coeff)
+            acc[label] = acc.get(label, 0) + _check_coeff(coeff)
         normalized = tuple(
             sorted(
                 ((label, coeff) for label, coeff in acc.items() if coeff != 0),

@@ -3,8 +3,10 @@
 Scalars travel as exact-rational strings "p/q" (or "p" for integers).
 Component documents carry the field, the size n and the label data;
 point documents add a "coords" list; K-classes are degree plus a sorted
-term list.  Rendering is deterministic: sorted keys, fixed indentation,
-so identical invocations give identical bytes.
+term list.  Result documents hold the components themselves, which
+``render`` writes from one template per shape.  Rendering is
+deterministic: sorted keys, fixed indentation, so identical invocations
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .dual import (
     SIGN_ID,
@@ -188,7 +191,7 @@ def parameter_from_doc(doc) -> LParameter:
 def kclass_to_doc(x: KClass) -> dict:
     return {
         "degree": x.degree,
-        "terms": [{"gen": component_to_doc(g), "coeff": c} for g, c in x.terms],
+        "terms": [{"gen": g, "coeff": c} for g, c in x.terms],
     }
 
 
@@ -233,20 +236,76 @@ def kgroup_to_doc(group: GradedKGroup, degrees=(0, 1)) -> dict:
         out["degrees"][str(j)] = {
             "rank": group.rank(j),
             "schema": group.schema(j),
-            "generators": [component_to_doc(c) for c in group.generators(j)],
+            "generators": group.generators(j),
         }
     return out
 
 
 def render(doc: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json(doc, "", {})
     if fmt == "table":
         return _render_table(doc)
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def _component_line(doc: dict) -> str:
+# stands in for each label while a template is built; no other field of a
+# component document prints these digits
+_LABEL_SLOT = 987654321987654321
+
+
+def _template(c: Component, pad) -> str:
+    """The text of ``c`` with a ``%d`` for each label: its JSON nested at
+    ``pad``, or its table line when ``pad`` is None."""
+    doc = component_to_doc(c)
+    name = "discrete" if isinstance(c, RealComponent) else "labels"
+    doc[name] = [_LABEL_SLOT] * len(doc[name])
+    if pad is None:
+        text = _doc_line(doc)
+    else:
+        text = json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return text.replace("%", "%%").replace(str(_LABEL_SLOT), "%d")
+
+
+def _fill(c: Component, pad, templates: dict) -> str:
+    """``_template(c, pad)`` filled with the labels of ``c``; one template per shape."""
+    if isinstance(c, RealComponent):
+        labels = c.discrete
+        key = ("R", len(labels), c.id_count, c.sgn_count, pad)
+    else:
+        labels = c.labels
+        key = ("C", len(labels), pad)
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = _template(c, pad)
+    return template % labels
+
+
+def _json(value, pad: str, templates: dict) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``,
+    for documents with string keys; components are expanded by ``component_to_doc``."""
+    if isinstance(value, (RealComponent, ComplexComponent)):
+        return _fill(value, pad, templates)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner, templates)
+                 for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner, templates) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
+def _doc_line(doc: dict) -> str:
     if doc.get("field") == "R":
         return f"q={doc['q']} discrete={doc['discrete']} signs={doc['signs']}"
     return f"labels={doc['labels']}"
@@ -254,17 +313,18 @@ def _component_line(doc: dict) -> str:
 
 def _render_table(doc: dict) -> str:
     lines = []
+    templates: dict = {}
     if "components" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']} count={doc['count']}")
-        lines.extend(_component_line(c) for c in doc["components"])
+        lines.extend(_fill(c, None, templates) for c in doc["components"])
     elif "degrees" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']}")
         for j in sorted(doc["degrees"]):
             info = doc["degrees"][j]
             lines.append(f"K^{j}  rank {info['rank']}  ({info['schema']})")
-            lines.extend("  " + _component_line(c) for c in info["generators"])
+            lines.extend("  " + _fill(c, None, templates) for c in info["generators"])
     elif "coords" in doc:
-        lines.append(f"component: field={doc['field']} " + _component_line(doc))
+        lines.append(f"component: field={doc['field']} " + _doc_line(doc))
         for entry in doc["coords"]:
             lines.append(f"  label={entry['label']} t={entry['t']}")
     elif "summands" in doc:
@@ -277,7 +337,7 @@ def _render_table(doc: dict) -> str:
         if not doc["terms"]:
             lines.append("  0")
         for entry in doc["terms"]:
-            lines.append(f"  {entry['coeff']:+d} * [{_component_line(entry['gen'])}]")
+            lines.append(f"  {entry['coeff']:+d} * [{_fill(entry['gen'], None, templates)}]")
     elif "coeffs" in doc:
         lines.append(f"ring={doc['ring']}")
         if not doc["coeffs"]:

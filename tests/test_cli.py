@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from temperedk import cli
 from temperedk.cli import main
 
 REAL_SGN_POINT = json.dumps(
@@ -281,6 +282,19 @@ def test_overlong_result_is_a_named_error(capsys):
     doc = json.loads(lines[0])
     assert doc["error"] == "UsageError"
     assert "slot 0" in doc["detail"]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("invariant violated")
+
+    # the kgroup handler looks k_group up in the cli module at call time
+    monkeypatch.setattr(cli, "k_group", broken)
+    code, out, err = run_cli(capsys, "kgroup", "--field", "R", "--n", "1", "--max-label", "1")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "RuntimeError", "detail": "invariant violated"}
 
 
 def test_output_byte_stable(capsys):

@@ -269,6 +269,21 @@ def test_component_of():
     assert component_of(pt) == comp
 
 
+def test_component_validation():
+    assert RealComponent((3, 1), 1, 0).discrete == (1, 3)
+    for bad in ((0,), (3, 0), (2, -1, 5)):
+        with pytest.raises(ValueError, match="labels must be >= 1"):
+            RealComponent(bad)
+    for counts in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RealComponent((1,), *counts)
+    with pytest.raises(InvalidN):
+        RealComponent(())
+    assert RealComponent((), 0, 1).n == 1 and RealComponent((4,)).n == 2
+    with pytest.raises(InvalidN):
+        ComplexComponent(())
+
+
 def test_point_rejects_bad_labels():
     comp = RealComponent((), 1, 0)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """K-groups, the base-change and induction homomorphisms, character rings."""
 
+import re
+from fractions import Fraction as F
 from math import comb
 
 import pytest
@@ -243,6 +245,20 @@ def test_kclass_arithmetic():
         KClass(2)
 
 
+def test_kclass_coefficients_must_be_integers():
+    gen = RealComponent((1,))
+    for bad in (2.7, True, F(1, 2)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            KClass(1, ((gen, bad),))
+        with pytest.raises(TypeError):
+            KClass(1, {gen: bad})
+    with pytest.raises(TypeError):
+        2.5 * KClass(1, ((gen, 1),))
+    x = KClass(1, ((gen, 2), (RealComponent((3,)), 1), (gen, -2)))
+    assert x.terms == ((RealComponent((3,)), 1),)
+    assert (x + x).coefficient(RealComponent((3,))) == 2
+
+
 # base change on K-theory
 
 def test_k_bc_hom_gl1_rule():
@@ -388,6 +404,17 @@ def test_repring_normalization_and_ring_checks():
         repring_bc(RepRingElement(RING_Z2, (("1", 1),)))
     with pytest.raises(RingMismatch):
         RepRingElement(RING_U1, ((1, 1),)) + RepRingElement(RING_Z2, (("1", 1),))
+
+
+def test_repring_coefficients_must_be_integers():
+    for bad in (2.7, True, F(1, 2)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RepRingElement(RING_U1, ((0, bad),))
+        with pytest.raises(TypeError):
+            RepRingElement(RING_Z2, {"eps": bad})
+    x = RepRingElement(RING_Z2, (("eps", 3), ("1", 1), ("eps", -3)))
+    assert x.coeffs == (("1", 1),)
+    assert (x + x).coefficient("1") == 2
 
 
 _u1_elements = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5), max_size=4).map(

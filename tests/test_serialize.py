@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from temperedk import (
     RING_U1,
@@ -16,6 +17,7 @@ from temperedk import (
     UsageError,
     k_group,
 )
+from temperedk import cli
 from temperedk.serialize import (
     component_from_doc,
     component_to_doc,
@@ -33,7 +35,7 @@ from temperedk.serialize import (
     repring_to_doc,
 )
 
-from _strategies import parameters, raw_points
+from _strategies import components, parameters, raw_points
 
 
 def test_fraction_to_str():
@@ -105,7 +107,7 @@ def test_kgroup_doc():
     doc = kgroup_to_doc(k_group("R", 2, 2))
     assert set(doc["degrees"]) == {"0", "1"}
     assert doc["degrees"]["1"]["rank"] == 2
-    assert doc["degrees"]["0"]["generators"][0]["signs"] == ["id", "sgn"]
+    assert json.loads(render(doc))["degrees"]["0"]["generators"][0]["signs"] == ["id", "sgn"]
     only_one = kgroup_to_doc(k_group("R", 2, 2), degrees=(1,))
     assert set(only_one["degrees"]) == {"1"}
 
@@ -157,3 +159,102 @@ def test_render_table_smoke():
     doc = kgroup_to_doc(k_group("R", 1, 1))
     text = render(doc, "table")
     assert "K^1" in text and "rank 2" in text
+
+
+# the writer behind render(doc, "json") against the reference encoder
+
+def _expand(value):
+    """``value`` with every component replaced by its component document."""
+    if isinstance(value, (RealComponent, ComplexComponent)):
+        return component_to_doc(value)
+    if isinstance(value, dict):
+        return {k: _expand(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_expand(v) for v in value]
+    return value
+
+
+def _reference(doc) -> str:
+    return json.dumps(_expand(doc), indent=2, sort_keys=True)
+
+
+def test_render_kgroup_matches_reference():
+    cases = [("R", n, 5) for n in range(1, 9)] + [("C", n, 3) for n in range(1, 6)]
+    real_shapes = set()
+    for field_name, n, max_label in cases:
+        group = k_group(field_name, n, max_label)
+        for degrees in ((0, 1), (0,), (1,)):
+            doc = kgroup_to_doc(group, degrees)
+            assert render(doc) == _reference(doc)
+        if field_name == "R":
+            real_shapes.update((len(c.discrete), c.id_count, c.sgn_count)
+                               for j in (0, 1) for c in group.generators(j))
+    # empty discrete labels, the sign pair and both sign characters all occur
+    assert {(0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (4, 0, 0)} <= real_shapes
+
+
+def test_render_component_listings_match_reference():
+    for argv in (
+        ["components", "--field", "R", "--n", "5", "--max-label", "3"],
+        ["components", "--field", "R", "--n", "1", "--max-label", "2"],
+        ["components", "--field", "C", "--n", "3", "--max-label", "2"],
+    ):
+        doc = cli.execute(cli.parse_command(argv))
+        assert all(isinstance(c, (RealComponent, ComplexComponent)) for c in doc["components"])
+        assert render(doc) == _reference(doc)
+
+
+def test_render_kclass_with_mixed_shapes():
+    x = KClass(1, (
+        (RealComponent((), 1, 0), 3),
+        (RealComponent((), 0, 1), -1),
+        (RealComponent((2,), 1, 1), 2),
+        (RealComponent((1, 4, 6)), -7),
+        (ComplexComponent((-3, 0, 12)), 1),
+        (ComplexComponent((5,)), 10**30),
+    ))
+    doc = kclass_to_doc(x)
+    assert render(doc) == _reference(doc)
+    assert kclass_from_doc(json.loads(render(doc))) == x
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00", "é", "\u2603", "\U0001f600", "%d", "%s"])
+)
+_json_values = st.recursive(
+    _json_scalars | components,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_json_values)
+def test_render_matches_reference_on_json_values(value):
+    assert render(value) == _reference(value)
+
+
+def _reference_line(doc) -> str:
+    if doc["field"] == "R":
+        return f"q={doc['q']} discrete={doc['discrete']} signs={doc['signs']}"
+    return f"labels={doc['labels']}"
+
+
+@given(st.lists(components, max_size=6))
+def test_table_rows_match_reference(comps):
+    doc = {"field": "R", "n": 1, "max_label": 1, "count": len(comps), "components": comps}
+    lines = render(doc, "table").split("\n")
+    assert lines[1:] == [_reference_line(component_to_doc(c)) for c in comps]
+    x = KClass(0, tuple((c, i + 1) for i, c in enumerate(comps)))
+    lines = render(kclass_to_doc(x), "table").split("\n")
+    expected = [f"  {k:+d} * [{_reference_line(component_to_doc(c))}]" for c, k in x.terms]
+    assert lines[1:] == (expected or ["  0"])
+
+
+def test_table_kgroup_rows_match_reference():
+    doc = kgroup_to_doc(k_group("R", 5, 4))
+    lines = render(doc, "table").split("\n")
+    rows = [line for line in lines if line.startswith("  ")]
+    gens = k_group("R", 5, 4).generators(0) + k_group("R", 5, 4).generators(1)
+    assert rows == ["  " + _reference_line(component_to_doc(c)) for c in gens]
