@@ -2,6 +2,7 @@
 base-change / automorphic-induction maps, all in exact arithmetic."""
 
 from .errors import (
+    BudgetExceeded,
     DegreeMismatch,
     InvalidN,
     InvalidTruncation,
@@ -34,18 +35,22 @@ from .dual import (
     SIGN_ID,
     SIGN_SGN,
     ComplexComponent,
+    ComponentListing,
     IsotropyDescriptor,
     LeviClass,
+    ListingBlock,
     RealComponent,
     TemperedPoint,
     canonicalize_point,
     component_of,
+    complex_components,
     component_sort_key,
     enumerate_components_complex,
     enumerate_components_real,
     is_cone,
     isotropy,
     levi_classes,
+    real_components,
 )
 from .langlands import (
     auto_induce_point,

@@ -4,7 +4,9 @@ Verbs: components, kgroup, llc, basechange, autoinduce, kmap,
 repring-bc.  Results go to stdout (JSON by default, --format table for
 a readable listing); errors go to stderr as {"error", "detail"}
 documents.  Exit codes: 0 success, 2 usage or validation problem,
-3 internal invariant violation.
+3 internal invariant violation.  A components or kgroup listing longer
+than ROW_BUDGET rows is refused (BudgetExceeded, exit 2) before any row
+is built.
 """
 
 from __future__ import annotations
@@ -14,13 +16,8 @@ import functools
 import json
 import sys
 
-from .dual import (
-    ComplexComponent,
-    RealComponent,
-    enumerate_components_complex,
-    enumerate_components_real,
-)
-from .errors import UsageError
+from .dual import ComplexComponent, RealComponent, complex_components, real_components
+from .errors import BudgetExceeded, UsageError
 from .ktheory import apply_hom, k_ai_hom, k_bc_hom, k_group, repring_bc
 from .langlands import (
     auto_induce_point,
@@ -42,6 +39,15 @@ from .serialize import (
     repring_from_doc,
     repring_to_doc,
 )
+
+
+# the most components one components or kgroup call may list
+ROW_BUDGET = 10**6
+
+
+def _check_budget(rows: int) -> None:
+    if rows > ROW_BUDGET:
+        raise BudgetExceeded(f"the result would list {rows} components; the budget is {ROW_BUDGET}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,22 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_components(args) -> dict:
-    if args.field == "R":
-        comps = enumerate_components_real(args.n, args.max_label)
-    else:
-        comps = enumerate_components_complex(args.n, args.max_label)
+    listing = (real_components if args.field == "R" else complex_components)(args.n, args.max_label)
+    _check_budget(listing.size)
     return {
         "field": args.field,
         "n": args.n,
         "max_label": args.max_label,
-        "count": len(comps),
-        "components": comps,
+        "count": listing.size,
+        "components": listing,
     }
 
 
 def _cmd_kgroup(args) -> dict:
     group = k_group(args.field, args.n, args.max_label)
     degrees = (0, 1) if args.degree is None else (args.degree,)
+    _check_budget(sum(group.rank(j) for j in degrees))
     return kgroup_to_doc(group, degrees)
 
 

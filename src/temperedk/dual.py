@@ -7,6 +7,14 @@ multiset of n integer character labels.  Each component is a quotient
 of a real vector space (one scalar per block) by the finite group
 permuting equal labels; when that isotropy is nontrivial the component
 is a closed cone and contributes nothing to K-theory.
+
+Families of components are listed by a ``ComponentListing``: a
+re-iterable value made of blocks, each the k-element label sets (or
+multisets) of one range, every set taken with each sign split of the
+block.  Its ``size`` is a sum of binomial coefficients, so a listing is
+counted without building it; ``enumerate_components_real`` and
+``enumerate_components_complex`` are lists of the listings that
+``real_components`` and ``complex_components`` return.
 """
 
 from __future__ import annotations
@@ -14,9 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
-from typing import Union
+from itertools import chain, combinations, combinations_with_replacement
+from math import comb, factorial
+from typing import Iterator, Optional, Union
 
 from .errors import InvalidN, InvalidTruncation, LabelMismatch
 
@@ -26,6 +34,16 @@ SIGN_SGN = "sgn"
 SIGNS = (SIGN_ID, SIGN_SGN)
 
 SlotLabel = Union[int, str]
+
+
+def _sorted_labels(labels) -> tuple[int, ...]:
+    """``labels`` as a sorted tuple; TypeError naming a label that is not an int."""
+    labels = tuple(labels)
+    for label in labels:
+        # bool is a subclass of int, but True is not a label
+        if isinstance(label, bool) or not isinstance(label, int):
+            raise TypeError(f"component labels must be integers, got {label!r}")
+    return tuple(sorted(labels))
 
 
 @dataclass(frozen=True)
@@ -61,7 +79,7 @@ class RealComponent:
     field = "R"
 
     def __post_init__(self) -> None:
-        discrete = tuple(sorted(self.discrete))
+        discrete = _sorted_labels(self.discrete)
         object.__setattr__(self, "discrete", discrete)
         # sorted, so the first label is the least
         if discrete and discrete[0] < 1:
@@ -106,7 +124,7 @@ class ComplexComponent:
     field = "C"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
+        object.__setattr__(self, "labels", _sorted_labels(self.labels))
         if not self.labels:
             raise InvalidN("a component needs n >= 1")
 
@@ -224,7 +242,73 @@ def is_cone(c: Component) -> bool:
     return not isotropy(c).trivial
 
 
-def enumerate_components_real(n: int, max_label: int) -> list[RealComponent]:
+@dataclass(frozen=True)
+class ListingBlock:
+    """One row family of a listing.
+
+    A row is a k-element set of labels drawn from ``labels`` (a multiset
+    when ``repeat``), in lexicographic order.  Over C (``r`` None) it
+    stands for one ``ComplexComponent``; over R for one
+    ``RealComponent`` with r sign slots per id count i in ``id_counts``,
+    the sign split (i, r - i).  A block is a few ints and ranges, so it
+    is built in constant time whatever r is.
+    """
+
+    r: Optional[int]
+    id_counts: range
+    labels: range
+    k: int
+    repeat: bool
+
+    @property
+    def size(self) -> int:
+        """The number of components, from binomial coefficients."""
+        m = len(self.labels)
+        sets = comb(m + self.k - 1, self.k) if self.repeat else comb(m, self.k)
+        return sets if self.r is None else sets * len(self.id_counts)
+
+    @property
+    def signs(self) -> Optional[tuple[tuple[int, int], ...]]:
+        """The sign splits (id_count, sgn_count) of a row, in order; None over C."""
+        if self.r is None:
+            return None
+        return tuple((i, self.r - i) for i in self.id_counts)
+
+    def label_sets(self) -> Iterator[tuple[int, ...]]:
+        """The label sets of the rows, in order."""
+        pick = combinations_with_replacement if self.repeat else combinations
+        return pick(self.labels, self.k)
+
+    def components(self, labels: tuple[int, ...]) -> tuple[Component, ...]:
+        """The components of the row with these labels, in order."""
+        if self.r is None:
+            return (ComplexComponent(labels),)
+        return tuple(RealComponent(labels, i, self.r - i) for i in self.id_counts)
+
+    def __iter__(self) -> Iterator[Component]:
+        for labels in self.label_sets():
+            yield from self.components(labels)
+
+
+@dataclass(frozen=True)
+class ComponentListing:
+    """A re-iterable listing of components, block after block.
+
+    ``size`` is the count, a sum of binomial coefficients; iterating
+    builds the components one at a time.
+    """
+
+    blocks: tuple[ListingBlock, ...] = ()
+
+    @property
+    def size(self) -> int:
+        return sum(block.size for block in self.blocks)
+
+    def __iter__(self) -> Iterator[Component]:
+        return chain.from_iterable(self.blocks)
+
+
+def real_components(n: int, max_label: int) -> ComponentListing:
     """All components of the tempered dual of GL(n, R) with labels <= max_label.
 
     Deterministic order: Levi classes with q descending, discrete
@@ -232,24 +316,30 @@ def enumerate_components_real(n: int, max_label: int) -> list[RealComponent]:
     """
     if max_label < 1:
         raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
-    out = []
-    for levi in levi_classes(n):
-        for discrete in combinations_with_replacement(range(1, max_label + 1), levi.q):
-            for id_count in range(levi.r, -1, -1):
-                out.append(RealComponent(discrete, id_count, levi.r - id_count))
-    return out
+    labels = range(1, max_label + 1)
+    return ComponentListing(tuple(
+        ListingBlock(levi.r, range(levi.r, -1, -1), labels, levi.q, True)
+        for levi in levi_classes(n)
+    ))
 
 
-def enumerate_components_complex(n: int, max_label: int) -> list[ComplexComponent]:
+def complex_components(n: int, max_label: int) -> ComponentListing:
     """All components for GL(n, C) with labels in [-max_label, max_label]."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     if max_label < 1:
         raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
-    return [
-        ComplexComponent(labels)
-        for labels in combinations_with_replacement(range(-max_label, max_label + 1), n)
-    ]
+    return ComponentListing((ListingBlock(None, range(0), range(-max_label, max_label + 1), n, True),))
+
+
+def enumerate_components_real(n: int, max_label: int) -> list[RealComponent]:
+    """``real_components(n, max_label)`` as a list."""
+    return list(real_components(n, max_label))
+
+
+def enumerate_components_complex(n: int, max_label: int) -> list[ComplexComponent]:
+    """``complex_components(n, max_label)`` as a list."""
+    return list(complex_components(n, max_label))
 
 
 def canonicalize_point(p: TemperedPoint) -> TemperedPoint:

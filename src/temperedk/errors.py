@@ -35,3 +35,7 @@ class RingMismatch(ValueError):
 
 class UsageError(ValueError):
     """Bad command line or malformed payload document."""
+
+
+class BudgetExceeded(UsageError):
+    """A listing would have more rows than the command line's row budget."""

@@ -16,10 +16,12 @@ abelian on closed-form generator families:
   distinct integer labels; the other degree vanishes.
 
 ``k_group`` truncates the families at a label bound and returns a
-``GradedKGroup`` that stores only (field, n, max_label).  Its ranks are
-binomial coefficients, its schema strings describe the untruncated
-families, its membership test checks the shape and labels of one
-component, and its generators are built only when they are listed.
+``GradedKGroup`` that stores only (field, n, max_label).  Each degree's
+generators form a one-block ``ComponentListing`` of label sets; its
+size, the rank, is a binomial coefficient, and its components are
+built only when it is iterated.  The schema strings describe the
+untruncated families, and the membership test checks the shape and
+labels of one component.
 ``k_bc_hom`` and ``k_ai_hom`` build the base-change and
 automorphic-induction maps on K-theory, with rules defined label-wise
 so they extend beyond any truncation; ``apply_hom`` is linear in the
@@ -29,11 +31,17 @@ number of terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .dual import Component, ComplexComponent, RealComponent, component_sort_key, is_cone
+from .dual import (
+    Component,
+    ComplexComponent,
+    ComponentListing,
+    ListingBlock,
+    RealComponent,
+    component_sort_key,
+    is_cone,
+)
 from .errors import (
     DegreeMismatch,
     InvalidN,
@@ -119,8 +127,9 @@ class KClass:
 # distinct labels, plus a fixed sign split in the real families
 _DISCRETE, _PAIR, _SIGN, _COMPLEX = "discrete", "pair", "sign", "complex"
 
-# (id_count, sgn_count) of the generators of each real family, in generator order
-_SIGN_COUNTS = {_DISCRETE: ((0, 0),), _PAIR: ((1, 1),), _SIGN: ((1, 0), (0, 1))}
+# (r, id counts) of the generators of each real family, in generator order:
+# the sign splits are (i, r - i) for i in the id counts
+_SIGN_SPLITS = {_DISCRETE: (0, range(0, -1, -1)), _PAIR: (2, range(1, 0, -1)), _SIGN: (1, range(1, -1, -1))}
 
 # schema text after "one generator per k-element set of distinct "
 _SCHEMA_TAIL = {
@@ -135,9 +144,9 @@ _SCHEMA_TAIL = {
 class GradedKGroup:
     """The two K-groups of one reduced group C*-algebra, truncated at a label bound.
 
-    Only (field, n, max_label) is stored: ranks, schemas and membership
-    come from the closed-form families, and generators are built when
-    they are listed.
+    Only (field, n, max_label) is stored: listings, ranks, schemas and
+    membership come from the closed-form families, and generators are
+    built when a listing is iterated.
     """
 
     field: str
@@ -160,11 +169,17 @@ class GradedKGroup:
         L = self.max_label
         return range(-L, L + 1) if family == _COMPLEX else range(1, L + 1)
 
-    def rank(self, degree: int) -> int:
+    def listing(self, degree: int) -> ComponentListing:
+        """The generators of one degree, in ``component_sort_key`` order, unbuilt."""
         family, k = self._family(degree)
         if family is None:
-            return 0
-        return comb(len(self._labels(family)), k) * (2 if family == _SIGN else 1)
+            return ComponentListing()
+        # combinations of an increasing range come out in lexicographic order
+        r, id_counts = (None, range(0)) if family == _COMPLEX else _SIGN_SPLITS[family]
+        return ComponentListing((ListingBlock(r, id_counts, self._labels(family), k, False),))
+
+    def rank(self, degree: int) -> int:
+        return self.listing(degree).size
 
     def schema(self, degree: int) -> str:
         family, k = self._family(degree)
@@ -173,27 +188,17 @@ class GradedKGroup:
         return f"free abelian, one generator per {k}-element set of distinct {_SCHEMA_TAIL[family]}"
 
     def generators(self, degree: int) -> tuple[Component, ...]:
-        """The generators of one degree, in ``component_sort_key`` order."""
-        family, k = self._family(degree)
-        if family is None:
-            return ()
-        # combinations of an increasing range come out in lexicographic order
-        sets = combinations(self._labels(family), k)
-        if family == _COMPLEX:
-            return tuple(ComplexComponent(c) for c in sets)
-        signs = _SIGN_COUNTS[family]
-        return tuple(RealComponent(c, i, s) for c in sets for i, s in signs)
+        return tuple(self.listing(degree))
 
     def contains(self, degree: int, gen: Component) -> bool:
         """Whether ``gen`` is a degree-``degree`` generator, without listing any."""
         family, k = self._family(degree)
         if family == _COMPLEX and isinstance(gen, ComplexComponent):
             labels = gen.labels
-        elif (
-            family in _SIGN_COUNTS
-            and isinstance(gen, RealComponent)
-            and (gen.id_count, gen.sgn_count) in _SIGN_COUNTS[family]
-        ):
+        elif family in _SIGN_SPLITS and isinstance(gen, RealComponent):
+            r, id_counts = _SIGN_SPLITS[family]
+            if gen.r != r or gen.id_count not in id_counts:
+                return False
             labels = gen.discrete
         else:
             return False

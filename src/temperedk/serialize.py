@@ -3,10 +3,13 @@
 Scalars travel as exact-rational strings "p/q" (or "p" for integers).
 Component documents carry the field, the size n and the label data;
 point documents add a "coords" list; K-classes are degree plus a sorted
-term list.  Result documents hold the components themselves, which
-``render`` writes from one template per shape.  Rendering is
-deterministic: sorted keys, fixed indentation, so identical invocations
-give identical bytes.
+term list.  Result documents hold the components themselves, and the
+``kgroup``/``components`` documents hold a ``ComponentListing``, which
+``render`` writes block by block: one row template per block (the
+templates of the row's component shapes, joined), filled with each
+label set, so no component is built.  A single component is written
+from one template per shape.  Rendering is deterministic: sorted keys,
+fixed indentation, so identical invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .dual import (
     SIGN_SGN,
     Component,
     ComplexComponent,
+    ComponentListing,
     RealComponent,
     TemperedPoint,
 )
@@ -236,7 +240,7 @@ def kgroup_to_doc(group: GradedKGroup, degrees=(0, 1)) -> dict:
         out["degrees"][str(j)] = {
             "rank": group.rank(j),
             "schema": group.schema(j),
-            "generators": group.generators(j),
+            "generators": group.listing(j),
         }
     return out
 
@@ -263,7 +267,7 @@ def _template(c: Component, pad) -> str:
     if pad is None:
         text = _doc_line(doc)
     else:
-        text = json.dumps(doc, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        text = _json(doc, pad, {})
     return text.replace("%", "%%").replace(str(_LABEL_SLOT), "%d")
 
 
@@ -281,9 +285,27 @@ def _fill(c: Component, pad, templates: dict) -> str:
     return template % labels
 
 
+def _rows(listing: ComponentListing, pad, sep: str) -> str:
+    """The components of ``listing`` as ``_template(c, pad)`` texts joined by ``sep``.
+
+    Each block's row template, the templates of one row's components
+    joined by ``sep``, is built once and filled with every label set.
+    """
+    texts = []
+    for block in listing.blocks:
+        if block.size:
+            # every row of a block has the same shapes, so any label set serves
+            shapes = block.components((block.labels[0],) * block.k)
+            template = sep.join(_template(c, pad) for c in shapes)
+            m = len(shapes)
+            texts += [template % (labels * m) for labels in block.label_sets()]
+    return sep.join(texts)
+
+
 def _json(value, pad: str, templates: dict) -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``,
-    for documents with string keys; components are expanded by ``component_to_doc``."""
+    for documents with string keys; components are expanded by ``component_to_doc``
+    and listings by iterating them."""
     if isinstance(value, (RealComponent, ComplexComponent)):
         return _fill(value, pad, templates)
     if isinstance(value, str):
@@ -297,6 +319,9 @@ def _json(value, pad: str, templates: dict) -> str:
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner, templates)
                  for k, v in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, ComponentListing):
+        rows = _rows(value, inner, ",\n" + inner)
+        return "[\n" + inner + rows + "\n" + pad + "]" if rows else "[]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -311,18 +336,26 @@ def _doc_line(doc: dict) -> str:
     return f"labels={doc['labels']}"
 
 
+def _table_rows(comps, indent: str, templates: dict) -> list[str]:
+    """Table lines of a listing or a sequence of components, each after ``indent``."""
+    if isinstance(comps, ComponentListing):
+        rows = _rows(comps, None, "\n" + indent)
+        return [indent + rows] if rows else []
+    return [indent + _fill(c, None, templates) for c in comps]
+
+
 def _render_table(doc: dict) -> str:
     lines = []
     templates: dict = {}
     if "components" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']} count={doc['count']}")
-        lines.extend(_fill(c, None, templates) for c in doc["components"])
+        lines.extend(_table_rows(doc["components"], "", templates))
     elif "degrees" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']}")
         for j in sorted(doc["degrees"]):
             info = doc["degrees"][j]
             lines.append(f"K^{j}  rank {info['rank']}  ({info['schema']})")
-            lines.extend("  " + _fill(c, None, templates) for c in info["generators"])
+            lines.extend(_table_rows(info["generators"], "  ", templates))
     elif "coords" in doc:
         lines.append(f"component: field={doc['field']} " + _doc_line(doc))
         for entry in doc["coords"]:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from temperedk import cli
+from temperedk import cli, dual
 from temperedk.cli import main
 
 REAL_SGN_POINT = json.dumps(
@@ -282,6 +282,47 @@ def test_overlong_result_is_a_named_error(capsys):
     doc = json.loads(lines[0])
     assert doc["error"] == "UsageError"
     assert "slot 0" in doc["detail"]
+
+
+def test_listing_over_the_row_budget_is_refused_at_once(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("components were listed")
+
+    # every listing draws its label sets from these two
+    monkeypatch.setattr(dual, "combinations", refuse)
+    monkeypatch.setattr(dual, "combinations_with_replacement", refuse)
+    # C(81, 6) = 324,540,216 generators; nothing is listed before the check
+    for argv in (
+        ("kgroup", "--field", "C", "--n", "6", "--max-label", "40"),
+        ("components", "--field", "C", "--n", "6", "--max-label", "40"),
+        ("components", "--field", "R", "--n", "12", "--max-label", "40"),
+        # 25,010,001 components over 5,001 Levi classes
+        ("components", "--field", "R", "--n", "10000", "--max-label", "1"),
+        # a count past sys.maxsize is still compared exactly
+        ("kgroup", "--field", "C", "--n", "100", "--max-label", "1000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+
+def test_row_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROW_BUDGET", 6)
+    # GL(2, C) at max_label 1: 6 components, and 3 generators in degree 0 only
+    code, out, _ = run_cli(capsys, "components", "--field", "C", "--n", "2", "--max-label", "1")
+    assert code == 0 and json.loads(out)["count"] == 6
+    code, _, err = run_cli(capsys, "components", "--field", "C", "--n", "2", "--max-label", "2")
+    assert code == 2 and json.loads(err)["error"] == "BudgetExceeded"
+    # kgroup counts the rows of the requested degrees only
+    monkeypatch.setattr(cli, "ROW_BUDGET", 5)
+    argv = ("kgroup", "--field", "R", "--n", "4", "--max-label", "4")  # ranks 6 and 4
+    assert run_cli(capsys, *argv, "--degree", "1")[0] == 0
+    code, _, err = run_cli(capsys, *argv, "--degree", "0")
+    assert code == 2 and json.loads(err)["error"] == "BudgetExceeded"
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Tempered-dual components: Levi classes, isotropy, enumeration, points."""
 
+import re
 from collections import defaultdict
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -26,6 +27,7 @@ from temperedk import (
     isotropy,
     levi_classes,
 )
+from temperedk import dual
 
 from _strategies import complex_components, components, raw_points, real_components
 
@@ -176,6 +178,71 @@ def test_enumerate_complex_errors():
         enumerate_components_complex(0, 2)
 
 
+# listings
+
+def _real_by_loop(n, L):
+    # the enumeration loop the listing replaced, kept as the order reference
+    out = []
+    for q in range(n // 2, -1, -1):
+        r = n - 2 * q
+        for discrete in combinations_with_replacement(range(1, L + 1), q):
+            for id_count in range(r, -1, -1):
+                out.append(RealComponent(discrete, id_count, r - id_count))
+    return out
+
+
+def _complex_by_loop(n, L):
+    return [ComplexComponent(c) for c in combinations_with_replacement(range(-L, L + 1), n)]
+
+
+def test_component_listings_count_and_order():
+    for field_name, sizes in (("R", range(1, 9)), ("C", range(1, 6))):
+        for n in sizes:
+            for L in range(1, 7):
+                if field_name == "R":
+                    listing = dual.real_components(n, L)
+                    want = _real_by_loop(n, L)
+                    # multisets of q labels from L, times the r + 1 sign splits
+                    closed = sum(comb(L + q - 1, q) * (n - 2 * q + 1) for q in range(n // 2 + 1))
+                else:
+                    listing = dual.complex_components(n, L)
+                    want = _complex_by_loop(n, L)
+                    closed = comb(2 * L + n, n)
+                assert listing.size == closed == len(want)
+                assert list(listing) == want
+                # re-iterable: a second pass gives the same components
+                assert list(listing) == want
+    assert dual.enumerate_components_real(4, 3) == _real_by_loop(4, 3)
+    assert dual.enumerate_components_complex(3, 2) == _complex_by_loop(3, 2)
+
+
+def test_listing_blocks():
+    block = dual.ListingBlock(1, range(1, -1, -1), range(1, 5), 2, False)
+    assert block.signs == ((1, 0), (0, 1))
+    assert block.size == len(list(block)) == 2 * comb(4, 2)
+    assert list(block.label_sets())[:2] == [(1, 2), (1, 3)]
+    assert block.components((1, 2)) == (RealComponent((1, 2), 1, 0), RealComponent((1, 2), 0, 1))
+    complex_block = dual.ListingBlock(None, range(0), range(-1, 2), 2, True)
+    assert complex_block.signs is None and complex_block.size == comb(4, 2)
+    assert list(complex_block)[:2] == [ComplexComponent((-1, -1)), ComplexComponent((-1, 0))]
+    empty = dual.ComponentListing()
+    assert empty.size == 0 and list(empty) == []
+    # more labels than the range holds: no rows
+    assert list(dual.ListingBlock(None, range(0), range(1, 3), 3, False)) == []
+    # a count past sys.maxsize is exact
+    assert dual.complex_components(100, 1000).size == comb(2100, 100)
+
+
+def test_large_real_listing_is_counted_from_its_blocks():
+    # one block per Levi class, holding r and a range of id counts, not the
+    # r + 1 sign splits: 5,001 blocks count 25,010,001 components
+    n = 10**4
+    listing = dual.real_components(n, 1)
+    assert len(listing.blocks) == n // 2 + 1
+    assert all(block.id_counts == range(block.r, -1, -1) for block in listing.blocks)
+    assert listing.size == sum(n - 2 * q + 1 for q in range(n // 2 + 1)) == 25_010_001
+
+
 # counting non-cone components
 
 def test_noncone_counts_match_closed_forms():
@@ -282,6 +349,19 @@ def test_component_validation():
     assert RealComponent((), 0, 1).n == 1 and RealComponent((4,)).n == 2
     with pytest.raises(InvalidN):
         ComplexComponent(())
+
+
+def test_component_labels_must_be_integers():
+    for bad in (1.5, 2.0, True, False, "2", F(3)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RealComponent((1, bad))
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            ComplexComponent((bad, 2))
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            ComplexComponent((bad,))
+    # any iterable of ints is accepted and stored sorted
+    assert RealComponent(iter([3, 1])).discrete == (1, 3)
+    assert ComplexComponent([2, -1]).labels == (-1, 2)
 
 
 def test_point_rejects_bad_labels():

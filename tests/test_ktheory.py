@@ -32,7 +32,7 @@ from temperedk import (
     repring_bc,
 )
 
-from temperedk import ktheory
+from temperedk import dual
 
 from _strategies import components
 
@@ -172,7 +172,31 @@ def _forbid_listing(monkeypatch):
     def refuse(*args):
         raise AssertionError("generators were listed")
 
-    monkeypatch.setattr(ktheory, "combinations", refuse)
+    # every listing draws its label sets from these two
+    monkeypatch.setattr(dual, "combinations", refuse)
+    monkeypatch.setattr(dual, "combinations_with_replacement", refuse)
+
+
+def _closed_form_ranks(field_name, n, L):
+    q = n // 2
+    if field_name == "C":
+        ranks = {n % 2: comb(2 * L + 1, n), (n + 1) % 2: 0}
+    elif n % 2 == 0:
+        ranks = {q % 2: comb(L, q), (q + 1) % 2: comb(L, q - 1)}
+    else:
+        ranks = {(q + 1) % 2: 2 * comb(L, q), q % 2: 0}
+    return ranks[0], ranks[1]
+
+
+@pytest.mark.parametrize("field_name,n", [("R", n) for n in range(1, 9)] + [("C", n) for n in range(1, 6)])
+def test_group_listings_count_from_closed_form(field_name, n):
+    for L in range(1, 7):
+        group = k_group(field_name, n, L)
+        for degree, closed in zip((0, 1), _closed_form_ranks(field_name, n, L)):
+            listing = group.listing(degree)
+            listed = list(listing)
+            assert listing.size == len(listed) == group.rank(degree) == closed
+            assert tuple(listed) == group.generators(degree) == tuple(listing)
 
 
 def test_rank_of_a_huge_group_without_listing(monkeypatch):
@@ -230,6 +254,20 @@ def test_kclass_normalization():
     assert y.terms == ((gen, 3), (RealComponent((2,)), 1))
     assert y.coefficient(gen) == 3
     assert y.coefficient(RealComponent((9,))) == 0
+
+
+def test_coefficients_of_reordered_terms():
+    terms = tuple((RealComponent((l,)), l) for l in range(1, 50))
+    x, y = KClass(1, terms), KClass(1, terms[::-1])
+    assert [y.coefficient(g) for g, _ in terms] == list(range(1, 50))
+    assert x.coefficient(RealComponent((50,))) == 0
+    assert x.coefficient(ComplexComponent((1,))) == 0
+    assert x == y and hash(x) == hash(y)
+    u = RepRingElement(RING_U1, ((3, 2), (-1, 5)))
+    assert (u.coefficient(3), u.coefficient(-1), u.coefficient(0)) == (2, 5, 0)
+    assert u == RepRingElement(RING_U1, {-1: 5, 3: 2}) and hash(u) == hash(RepRingElement(RING_U1, {-1: 5, 3: 2}))
+    z = RepRingElement(RING_Z2, (("eps", 4),))
+    assert (z.coefficient("eps"), z.coefficient("1")) == (4, 0)
 
 
 def test_kclass_arithmetic():

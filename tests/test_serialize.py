@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from temperedk import (
     RING_U1,
     ComplexComponent,
+    ComponentListing,
     KClass,
     RealComponent,
     RepRingElement,
@@ -164,9 +165,12 @@ def test_render_table_smoke():
 # the writer behind render(doc, "json") against the reference encoder
 
 def _expand(value):
-    """``value`` with every component replaced by its component document."""
+    """``value`` with every component replaced by its component document
+    and every listing by the list of its components."""
     if isinstance(value, (RealComponent, ComplexComponent)):
         return component_to_doc(value)
+    if isinstance(value, ComponentListing):
+        return [component_to_doc(c) for c in value]
     if isinstance(value, dict):
         return {k: _expand(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -250,6 +254,62 @@ def test_table_rows_match_reference(comps):
     lines = render(kclass_to_doc(x), "table").split("\n")
     expected = [f"  {k:+d} * [{_reference_line(component_to_doc(c))}]" for c, k in x.terms]
     assert lines[1:] == (expected or ["  0"])
+
+
+def _reference_table(doc) -> str:
+    # the table of the expanded document, by the formulas of the table backend
+    doc = _expand(doc)
+    head = f"field={doc['field']} n={doc['n']} max_label={doc['max_label']}"
+    if "components" in doc:
+        return "\n".join([f"{head} count={doc['count']}"]
+                         + [_reference_line(c) for c in doc["components"]])
+    lines = [head]
+    for j in sorted(doc["degrees"]):
+        info = doc["degrees"][j]
+        lines.append(f"K^{j}  rank {info['rank']}  ({info['schema']})")
+        lines.extend("  " + _reference_line(c) for c in info["generators"])
+    return "\n".join(lines)
+
+
+def _listing_docs():
+    """kgroup and components documents of every row shape, with each degree choice."""
+    for field_name, sizes in (("R", range(1, 9)), ("C", range(1, 6))):
+        for n in sizes:
+            for L in (1, 2, 4):
+                yield cli.execute(cli.parse_command(
+                    ["components", "--field", field_name, "--n", str(n), "--max-label", str(L)]))
+                for degree in ([], ["--degree", "0"], ["--degree", "1"]):
+                    yield cli.execute(cli.parse_command(
+                        ["kgroup", "--field", field_name, "--n", str(n), "--max-label", str(L)] + degree))
+
+
+def test_render_listings_match_reference_in_both_formats():
+    shapes, empty = set(), 0
+    for doc in _listing_docs():
+        assert render(doc) == _reference(doc)
+        assert render(doc, "table") == _reference_table(doc)
+        listings = ([doc["components"]] if "components" in doc
+                    else [info["generators"] for info in doc["degrees"].values()])
+        for listing in listings:
+            assert isinstance(listing, ComponentListing)
+            empty += listing.size == 0
+            shapes.update(tuple(block.signs or ()) for block in listing.blocks)
+    # interleaved id/sgn rows, the sign pair, every split of r = 3 and empty degrees
+    assert {((1, 0), (0, 1)), ((1, 1),), ((3, 0), (2, 1), (1, 2), (0, 3))} <= shapes
+    assert empty > 0
+
+
+def test_listing_docs_render_repeatably():
+    group = k_group("R", 5, 4)
+    doc = kgroup_to_doc(group)
+    first_json, first_table = render(doc), render(doc, "table")
+    assert render(doc) == first_json and render(doc, "table") == first_table
+    # the listing is a value, not a spent iterator
+    assert group.generators(1) == tuple(doc["degrees"]["1"]["generators"])
+    assert len(group.generators(1)) == doc["degrees"]["1"]["rank"] == 12
+    components = cli.execute(cli.parse_command(["components", "--field", "C", "--n", "2", "--max-label", "3"]))
+    assert render(components) == render(components)
+    assert components["count"] == len(list(components["components"])) == 28
 
 
 def test_table_kgroup_rows_match_reference():
