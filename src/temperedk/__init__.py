@@ -4,6 +4,7 @@ base-change / automorphic-induction maps, all in exact arithmetic."""
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
+    InvalidLabel,
     InvalidN,
     InvalidTruncation,
     LabelMismatch,

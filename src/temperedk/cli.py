@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .dual import ComplexComponent, RealComponent, complex_components, real_components
+from .dual import RealComponent, complex_components, real_components
 from .errors import BudgetExceeded, UsageError
 from .ktheory import apply_hom, k_ai_hom, k_bc_hom, k_group, repring_bc
 from .langlands import (
@@ -47,7 +47,8 @@ ROW_BUDGET = 10**6
 
 def _check_budget(rows: int) -> None:
     if rows > ROW_BUDGET:
-        raise BudgetExceeded(f"the result would list {rows} components; the budget is {ROW_BUDGET}")
+        # the count may be too long to print, so it is never formatted
+        raise BudgetExceeded(f"the result would list more than {ROW_BUDGET} components")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,21 +57,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _plain_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _plain_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
 
 def _read_payload(text: str):
@@ -184,13 +182,8 @@ def _cmd_autoinduce(args) -> dict:
 
 
 def _payload_label_bound(x) -> int:
-    bound = 1
-    for gen, _ in x.terms:
-        if isinstance(gen, RealComponent):
-            bound = max(bound, max(gen.discrete, default=1))
-        elif isinstance(gen, ComplexComponent):
-            bound = max(bound, max((abs(l) for l in gen.labels), default=1))
-    return bound
+    return max([1] + [abs(label) for gen, _ in x.terms
+                      for label in (gen.discrete if isinstance(gen, RealComponent) else gen.labels)])
 
 
 def _cmd_kmap(args) -> dict:

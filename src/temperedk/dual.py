@@ -26,7 +26,7 @@ from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 from typing import Iterator, Optional, Union
 
-from .errors import InvalidN, InvalidTruncation, LabelMismatch
+from .errors import InvalidLabel, InvalidN, InvalidTruncation, LabelMismatch
 
 SIGN_ID = "id"
 SIGN_SGN = "sgn"
@@ -38,12 +38,13 @@ SlotLabel = Union[int, str]
 
 def _sorted_labels(labels) -> tuple[int, ...]:
     """``labels`` as a sorted tuple; TypeError naming a label that is not an int."""
-    labels = tuple(labels)
+    labels = list(labels)
     for label in labels:
         # bool is a subclass of int, but True is not a label
-        if isinstance(label, bool) or not isinstance(label, int):
+        if type(label) is not int and (isinstance(label, bool) or not isinstance(label, int)):
             raise TypeError(f"component labels must be integers, got {label!r}")
-    return tuple(sorted(labels))
+    labels.sort()
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class LeviClass:
         return 2 * self.q + self.r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RealComponent:
     """Component of the tempered dual of GL(n, R).
 
@@ -78,16 +79,23 @@ class RealComponent:
 
     field = "R"
 
-    def __post_init__(self) -> None:
-        discrete = _sorted_labels(self.discrete)
-        object.__setattr__(self, "discrete", discrete)
+    def __init__(self, discrete, id_count: int = 0, sgn_count: int = 0) -> None:
+        discrete = _sorted_labels(discrete)
         # sorted, so the first label is the least
         if discrete and discrete[0] < 1:
-            raise ValueError("discrete-series labels must be >= 1")
-        if self.id_count < 0 or self.sgn_count < 0:
+            raise InvalidLabel("discrete-series labels must be >= 1")
+        if id_count < 0 or sgn_count < 0:
             raise ValueError("sign counts must be nonnegative")
-        if not (discrete or self.id_count + self.sgn_count):
+        if not (discrete or id_count + sgn_count):
             raise InvalidN("a component needs n >= 1")
+        self.__dict__.update(discrete=discrete, id_count=id_count, sgn_count=sgn_count)
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed on first use and kept
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.discrete, self.id_count, self.sgn_count))
+        return h
 
     @property
     def q(self) -> int:
@@ -102,10 +110,6 @@ class RealComponent:
         return 2 * self.q + self.r
 
     @property
-    def levi(self) -> LeviClass:
-        return LeviClass(self.q, self.r)
-
-    @property
     def dim(self) -> int:
         # one unramified scalar per block
         return self.q + self.r
@@ -115,7 +119,7 @@ class RealComponent:
         return (SIGN_ID,) * self.id_count + (SIGN_SGN,) * self.sgn_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ComplexComponent:
     """Component of the tempered dual of GL(n, C): n character labels."""
 
@@ -123,10 +127,25 @@ class ComplexComponent:
 
     field = "C"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", _sorted_labels(self.labels))
-        if not self.labels:
+    def __init__(self, labels) -> None:
+        labels = _sorted_labels(labels)
+        if not labels:
             raise InvalidN("a component needs n >= 1")
+        self.__dict__["labels"] = labels
+
+    @classmethod
+    def from_sorted(cls, labels: tuple[int, ...]) -> "ComplexComponent":
+        """The component with ``labels``, already a nonempty sorted tuple of ints: no checks."""
+        c = object.__new__(cls)
+        c.__dict__["labels"] = labels
+        return c
+
+    def __hash__(self) -> int:
+        # the generated dataclass hash, computed on first use and kept
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.labels,))
+        return h
 
     @property
     def n(self) -> int:
@@ -266,13 +285,6 @@ class ListingBlock:
         m = len(self.labels)
         sets = comb(m + self.k - 1, self.k) if self.repeat else comb(m, self.k)
         return sets if self.r is None else sets * len(self.id_counts)
-
-    @property
-    def signs(self) -> Optional[tuple[tuple[int, int], ...]]:
-        """The sign splits (id_count, sgn_count) of a row, in order; None over C."""
-        if self.r is None:
-            return None
-        return tuple((i, self.r - i) for i in self.id_counts)
 
     def label_sets(self) -> Iterator[tuple[int, ...]]:
         """The label sets of the rows, in order."""

@@ -25,6 +25,10 @@ class DegreeMismatch(ValueError):
     """A K-theory degree is not the expected one (degrees are 0 or 1)."""
 
 
+class InvalidLabel(ValueError):
+    """A label is out of range: a discrete-series label below 1, or a sign twist not 0 or 1."""
+
+
 class UnknownGenerator(ValueError):
     """A K-class term refers to a component outside the group's generator list."""
 

@@ -24,14 +24,14 @@ untruncated families, and the membership test checks the shape and
 labels of one component.
 ``k_bc_hom`` and ``k_ai_hom`` build the base-change and
 automorphic-induction maps on K-theory, with rules defined label-wise
-so they extend beyond any truncation; ``apply_hom`` is linear in the
-number of terms.
+so they extend beyond any truncation.  A rule returns the image terms
+of one generator; ``apply_hom`` sums them in one dict into one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .dual import (
     Component,
@@ -54,7 +54,8 @@ from .weil import COMPLEX, REAL
 RING_U1 = "U(1)"
 RING_Z2 = "Z/2Z"
 
-TermInput = Union[Mapping[Component, int], Iterable[tuple[Component, int]]]
+# the image of one generator under a rule: (generator, coefficient) terms, empty for zero
+ImageTerms = tuple[tuple[Component, int], ...]
 
 
 def _check_degree(degree: int) -> int:
@@ -65,7 +66,7 @@ def _check_degree(degree: int) -> int:
 
 def _check_coeff(coeff) -> int:
     # bool is a subclass of int, but True is not a coefficient
-    if isinstance(coeff, bool) or not isinstance(coeff, int):
+    if type(coeff) is not int and (isinstance(coeff, bool) or not isinstance(coeff, int)):
         raise TypeError(f"coefficients must be integers, got {coeff!r}")
     return coeff
 
@@ -84,13 +85,14 @@ class KClass:
 
     def __post_init__(self) -> None:
         _check_degree(self.degree)
-        acc: dict[Component, int] = {}
-        items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
-        for gen, coeff in items:
-            acc[gen] = acc.get(gen, 0) + _check_coeff(coeff)
+        acc = self.terms
+        if not isinstance(acc, Mapping):  # a mapping's keys are distinct already
+            acc = {}
+            for gen, coeff in self.terms:
+                acc[gen] = acc.get(gen, 0) + _check_coeff(coeff)
         normalized = tuple(
             sorted(
-                ((gen, coeff) for gen, coeff in acc.items() if coeff != 0),
+                ((gen, coeff) for gen, coeff in acc.items() if _check_coeff(coeff) != 0),
                 key=lambda term: component_sort_key(term[0]),
             )
         )
@@ -202,8 +204,10 @@ class GradedKGroup:
             labels = gen.discrete
         else:
             return False
+        # labels are sorted when a component is built, so the end labels bound the rest
         bound = self._labels(family)
-        return len(labels) == k == len(set(labels)) and all(ell in bound for ell in labels)
+        return len(labels) == k and (not labels or labels[0] in bound and labels[-1] in bound
+                                     and len(set(labels)) == k)
 
 
 def k_ranks_component(c: Component) -> tuple[int, int]:
@@ -226,29 +230,29 @@ def k_group(field_name: str, n: int, max_label: int) -> GradedKGroup:
 
 @dataclass(frozen=True)
 class KHomomorphism:
-    """Graded-group map given by a label-wise rule on domain generators."""
+    """Graded-group map given by a label-wise rule: ``rule(degree, gen)`` is ``gen``'s image terms."""
 
     name: str
     domain: GradedKGroup
     codomain: GradedKGroup
-    rule: Callable[[int, Component], KClass] = field(compare=False, repr=False)
+    rule: Callable[[int, Component], ImageTerms] = field(compare=False, repr=False)
 
     def on_generator(self, degree: int, gen: Component) -> KClass:
         if not self.domain.contains(degree, gen):
             raise UnknownGenerator(f"{gen!r} is not a degree-{degree} domain generator")
-        image = self.rule(degree, gen)
-        if image.degree != degree:
-            raise DegreeMismatch("homomorphism rule must preserve the degree")
-        return image
+        return KClass(degree, self.rule(degree, gen))
 
 
 def apply_hom(h: KHomomorphism, x: KClass) -> KClass:
-    """Image of a K-class, term by term; every term must be a domain generator."""
+    """Image of a K-class: its terms' images summed into one class; each must be a domain generator."""
+    degree, contains, rule = x.degree, h.domain.contains, h.rule
     acc: dict[Component, int] = {}
     for gen, coeff in x.terms:
-        for image_gen, c in h.on_generator(x.degree, gen).terms:
+        if not contains(degree, gen):
+            raise UnknownGenerator(f"{gen!r} is not a degree-{degree} domain generator")
+        for image_gen, c in rule(degree, gen):
             acc[image_gen] = acc.get(image_gen, 0) + coeff * c
-    return KClass(x.degree, acc)
+    return KClass(degree, acc)
 
 
 def k_bc_hom(n: int, max_label: int) -> KHomomorphism:
@@ -261,17 +265,17 @@ def k_bc_hom(n: int, max_label: int) -> KHomomorphism:
     domain = k_group(COMPLEX, n, max_label)
     codomain = k_group(REAL, n, max_label)
     if n == 1:
-        target = KClass(1, ((RealComponent((), 1, 0), 1), (RealComponent((), 0, 1), 1)))
+        target = ((RealComponent((), 1, 0), 1), (RealComponent((), 0, 1), 1))
 
-        def rule(degree: int, gen: Component) -> KClass:
+        def rule(degree: int, gen: Component) -> ImageTerms:
             if degree == 1 and isinstance(gen, ComplexComponent) and gen.labels == (0,):
                 return target
-            return KClass(degree)
+            return ()
 
     else:
 
-        def rule(degree: int, gen: Component) -> KClass:
-            return KClass(degree)
+        def rule(degree: int, gen: Component) -> ImageTerms:
+            return ()
 
     return KHomomorphism("base-change", domain, codomain, rule)
 
@@ -286,10 +290,10 @@ def k_ai_hom(n: int, max_label: int) -> KHomomorphism:
     domain = k_group(REAL, 2 * n, max_label)
     codomain = k_group(COMPLEX, n, max_label)
 
-    def rule(degree: int, gen: Component) -> KClass:
+    def rule(degree: int, gen: Component) -> ImageTerms:
         if degree == n % 2 and isinstance(gen, RealComponent) and gen.r == 0:
-            return KClass(degree, ((ComplexComponent(gen.discrete), 1),))
-        return KClass(degree)
+            return ((ComplexComponent.from_sorted(gen.discrete), 1),)
+        return ()
 
     return KHomomorphism("automorphic-induction", domain, codomain, rule)
 

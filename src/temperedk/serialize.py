@@ -3,12 +3,13 @@
 Scalars travel as exact-rational strings "p/q" (or "p" for integers).
 Component documents carry the field, the size n and the label data;
 point documents add a "coords" list; K-classes are degree plus a sorted
-term list.  Result documents hold the components themselves, and the
+term list; a component document is checked in one pass.  The
 ``kgroup``/``components`` documents hold a ``ComponentListing``, which
 ``render`` writes block by block: one row template per block (the
 templates of the row's component shapes, joined), filled with each
-label set, so no component is built.  A single component is written
-from one template per shape.  Rendering is deterministic: sorted keys,
+label set, so no component is built.  A K-class document holds the
+``KClass``, whose terms are written from one ``{"coeff", "gen"}``
+template per generator shape.  Rendering is deterministic: sorted keys,
 fixed indentation, so identical invocations give identical bytes.
 """
 
@@ -74,25 +75,36 @@ def fraction_from_json(value) -> Fraction:
     return t
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but JSON true/false is never an integer
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(doc: dict, key: str, kind):
+    """``doc[key]`` (KeyError if it is missing); UsageError if it is not a ``kind``."""
+    value = doc[key]
+    # the exact type, as JSON gives, is tested first
+    if type(value) is not kind and not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise UsageError(f"key {key!r} has the wrong type")
+    return value
+
+
 def _require(doc, key, kind=None):
     if not isinstance(doc, dict):
         raise UsageError(f"expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise UsageError(f"missing key {key!r}")
-    value = doc[key]
-    # bool is a subclass of int, but JSON true/false is never an integer
-    if kind is not None and (not isinstance(value, kind)
-                             or (kind is int and isinstance(value, bool))):
-        raise UsageError(f"key {key!r} has the wrong type")
-    return value
+    return doc[key] if kind is None else _typed(doc, key, kind)
 
 
-def _int_list(values, what):
-    if not isinstance(values, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in values
-    ):
-        raise UsageError(f"{what} must be a list of integers")
-    return [int(v) for v in values]
+def _int_list(values, what) -> list:
+    if isinstance(values, list):
+        for v in values:
+            if type(v) is not int and not _is_int(v):
+                break
+        else:
+            return values
+    raise UsageError(f"{what} must be a list of integers")
 
 
 def component_to_doc(c: Component) -> dict:
@@ -109,23 +121,30 @@ def component_to_doc(c: Component) -> dict:
 
 
 def component_from_doc(doc) -> Component:
-    field_name = _require(doc, "field", str)
-    n = _require(doc, "n", int)
-    if field_name == "R":
-        q = _require(doc, "q", int)
-        r = _require(doc, "r", int)
-        discrete = _int_list(_require(doc, "discrete"), '"discrete"')
-        signs = _require(doc, "signs", list)
-        if any(s not in (SIGN_ID, SIGN_SGN) for s in signs):
-            raise UsageError(f'signs must be "{SIGN_ID}" or "{SIGN_SGN}"')
-        if len(discrete) != q or len(signs) != r or n != 2 * q + r:
-            raise UsageError("inconsistent component: need len(discrete) = q, len(signs) = r, n = 2q + r")
-        return RealComponent(tuple(discrete), signs.count(SIGN_ID), signs.count(SIGN_SGN))
-    if field_name == "C":
-        labels = _int_list(_require(doc, "labels"), '"labels"')
-        if len(labels) != n:
-            raise UsageError("inconsistent component: need len(labels) = n")
-        return ComplexComponent(tuple(labels))
+    """The component of a generator document, checked in one pass: each key
+    once, in the order field, n, then the keys of that field's components."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"expected a JSON object, got {type(doc).__name__}")
+    try:
+        # a tuple is built left to right, so the keys are checked in order
+        field_name, n = _typed(doc, "field", str), _typed(doc, "n", int)
+        if field_name == "R":
+            q, r = _typed(doc, "q", int), _typed(doc, "r", int)
+            discrete = _int_list(doc["discrete"], '"discrete"')
+            signs = _typed(doc, "signs", list)
+            id_count, sgn_count = signs.count(SIGN_ID), signs.count(SIGN_SGN)
+            if id_count + sgn_count != len(signs):
+                raise UsageError(f'signs must be "{SIGN_ID}" or "{SIGN_SGN}"')
+            if len(discrete) != q or len(signs) != r or n != 2 * q + r:
+                raise UsageError("inconsistent component: need len(discrete) = q, len(signs) = r, n = 2q + r")
+            return RealComponent(discrete, id_count, sgn_count)
+        if field_name == "C":
+            labels = _int_list(doc["labels"], '"labels"')
+            if len(labels) != n:
+                raise UsageError("inconsistent component: need len(labels) = n")
+            return ComplexComponent(labels)
+    except KeyError as exc:
+        raise UsageError(f"missing key {exc.args[0]!r}") from None
     raise UsageError(f'field must be "R" or "C", got {field_name!r}')
 
 
@@ -193,10 +212,8 @@ def parameter_from_doc(doc) -> LParameter:
 
 
 def kclass_to_doc(x: KClass) -> dict:
-    return {
-        "degree": x.degree,
-        "terms": [{"gen": g, "coeff": c} for g, c in x.terms],
-    }
+    # render writes the class as its list of {"coeff", "gen"} term documents
+    return {"degree": x.degree, "terms": x}
 
 
 def kclass_from_doc(doc) -> KClass:
@@ -247,7 +264,7 @@ def kgroup_to_doc(group: GradedKGroup, degrees=(0, 1)) -> dict:
 
 def render(doc: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return _json(doc, "", {})
+        return _json(doc, "")
     if fmt == "table":
         return _render_table(doc)
     raise UsageError(f"unknown format {fmt!r}")
@@ -267,26 +284,36 @@ def _template(c: Component, pad) -> str:
     if pad is None:
         text = _doc_line(doc)
     else:
-        text = _json(doc, pad, {})
+        text = _json(doc, pad)
     return text.replace("%", "%%").replace(str(_LABEL_SLOT), "%d")
 
 
-def _fill(c: Component, pad, templates: dict) -> str:
-    """``_template(c, pad)`` filled with the labels of ``c``; one template per shape."""
-    if isinstance(c, RealComponent):
-        labels = c.discrete
-        key = ("R", len(labels), c.id_count, c.sgn_count, pad)
-    else:
-        labels = c.labels
-        key = ("C", len(labels), pad)
-    template = templates.get(key)
-    if template is None:
-        template = templates[key] = _template(c, pad)
-    return template % labels
+def _terms(x: KClass, pad) -> list[str]:
+    """The terms of ``x`` as texts: their ``{"coeff", "gen"}`` JSON nested at
+    ``pad``, or their table lines when ``pad`` is None.  Each term fills the
+    template of its generator's shape, built once from ``_template``."""
+    texts, templates = [], {}
+    for gen, coeff in x.terms:
+        if isinstance(gen, RealComponent):
+            labels, key = gen.discrete, (len(gen.discrete), gen.id_count, gen.sgn_count)
+        else:
+            labels, key = gen.labels, len(gen.labels)
+        template = templates.get(key)
+        if template is None:
+            if pad is None:
+                template = "  %+d * [" + _template(gen, None) + "]"
+            else:
+                inner = pad + "  "
+                template = ("{\n" + inner + '"coeff": %d,\n' + inner + '"gen": '
+                            + _template(gen, inner) + "\n" + pad + "}")
+            templates[key] = template
+        texts.append(template % (coeff, *labels))
+    return texts
 
 
-def _rows(listing: ComponentListing, pad, sep: str) -> str:
-    """The components of ``listing`` as ``_template(c, pad)`` texts joined by ``sep``.
+def _rows(listing: ComponentListing, pad, sep: str) -> list[str]:
+    """The rows of ``listing``: each row's components as ``_template(c, pad)``
+    texts joined by ``sep``.
 
     Each block's row template, the templates of one row's components
     joined by ``sep``, is built once and filled with every label set.
@@ -299,15 +326,13 @@ def _rows(listing: ComponentListing, pad, sep: str) -> str:
             template = sep.join(_template(c, pad) for c in shapes)
             m = len(shapes)
             texts += [template % (labels * m) for labels in block.label_sets()]
-    return sep.join(texts)
+    return texts
 
 
-def _json(value, pad: str, templates: dict) -> str:
+def _json(value, pad: str) -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` nested at ``pad``,
-    for documents with string keys; components are expanded by ``component_to_doc``
-    and listings by iterating them."""
-    if isinstance(value, (RealComponent, ComplexComponent)):
-        return _fill(value, pad, templates)
+    for documents with string keys; listings are expanded into their components'
+    documents and K-classes into their terms' ``{"coeff", "gen"}`` documents."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -316,17 +341,14 @@ def _json(value, pad: str, templates: dict) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner, templates)
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
                  for k, v in sorted(value.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, ComponentListing):
-        rows = _rows(value, inner, ",\n" + inner)
-        return "[\n" + inner + rows + "\n" + pad + "]" if rows else "[]"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(v, inner, templates) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, (list, tuple, ComponentListing, KClass)):
+        items = (_rows(value, inner, ",\n" + inner) if isinstance(value, ComponentListing)
+                 else _terms(value, inner) if isinstance(value, KClass)
+                 else [_json(v, inner) for v in value])
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
     return json.dumps(value)
 
 
@@ -336,26 +358,17 @@ def _doc_line(doc: dict) -> str:
     return f"labels={doc['labels']}"
 
 
-def _table_rows(comps, indent: str, templates: dict) -> list[str]:
-    """Table lines of a listing or a sequence of components, each after ``indent``."""
-    if isinstance(comps, ComponentListing):
-        rows = _rows(comps, None, "\n" + indent)
-        return [indent + rows] if rows else []
-    return [indent + _fill(c, None, templates) for c in comps]
-
-
 def _render_table(doc: dict) -> str:
     lines = []
-    templates: dict = {}
     if "components" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']} count={doc['count']}")
-        lines.extend(_table_rows(doc["components"], "", templates))
+        lines.extend(_rows(doc["components"], None, "\n"))
     elif "degrees" in doc:
         lines.append(f"field={doc['field']} n={doc['n']} max_label={doc['max_label']}")
         for j in sorted(doc["degrees"]):
             info = doc["degrees"][j]
             lines.append(f"K^{j}  rank {info['rank']}  ({info['schema']})")
-            lines.extend(_table_rows(info["generators"], "  ", templates))
+            lines.extend("  " + row for row in _rows(info["generators"], None, "\n  "))
     elif "coords" in doc:
         lines.append(f"component: field={doc['field']} " + _doc_line(doc))
         for entry in doc["coords"]:
@@ -367,10 +380,7 @@ def _render_table(doc: dict) -> str:
             lines.append("  " + " ".join(parts))
     elif "terms" in doc:
         lines.append(f"degree={doc['degree']}")
-        if not doc["terms"]:
-            lines.append("  0")
-        for entry in doc["terms"]:
-            lines.append(f"  {entry['coeff']:+d} * [{_fill(entry['gen'], None, templates)}]")
+        lines.extend(_terms(doc["terms"], None) or ["  0"])
     elif "coeffs" in doc:
         lines.append(f"ring={doc['ring']}")
         if not doc["coeffs"]:

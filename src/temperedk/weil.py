@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import SideMismatch
+from .errors import InvalidLabel, SideMismatch
 
 REAL = "R"
 COMPLEX = "C"
@@ -58,7 +58,7 @@ class RealCharacter:
 
     def __post_init__(self) -> None:
         if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps!r}")
+            raise InvalidLabel(f"eps must be 0 or 1, got {self.eps!r}")
         object.__setattr__(self, "t", Fraction(self.t))
 
 

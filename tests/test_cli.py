@@ -260,6 +260,24 @@ def test_validation_error_names_surface(capsys):
     assert json.loads(err)["error"] == "InvalidTruncation"
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (("kmap", "--map", "ai", "--n", "1", "--class", json.dumps({"degree": 1, "terms": [{
+        "gen": {"field": "R", "n": 2, "q": 1, "r": 0, "discrete": [0], "signs": []}, "coeff": 1}]})),
+     "discrete-series labels must be >= 1"),
+    (("llc", "--point", json.dumps({
+        "field": "R", "n": 2, "q": 1, "r": 0, "discrete": [0], "signs": [],
+        "coords": [{"label": 0, "t": "0"}]})),
+     "discrete-series labels must be >= 1"),
+    (("llc", "--parameter", json.dumps({
+        "side": "R", "summands": [{"kind": "character", "eps": 2, "t": "0"}]})),
+     "eps must be 0 or 1, got 2"),
+])
+def test_out_of_range_labels_are_a_named_error(capsys, argv, detail):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidLabel", "detail": detail}
+
+
 def test_truncation_rule_same_for_both_fields(capsys):
     code, out, err = run_cli(
         capsys, "components", "--field", "C", "--n", "2", "--max-label", "0"
@@ -306,6 +324,18 @@ def test_listing_over_the_row_budget_is_refused_at_once(capsys, monkeypatch):
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+
+def test_budget_refusal_never_prints_the_count(capsys):
+    # the ranks C(20000, 10000) and C(20000, 9999) have 6,019 digits, past the int-to-str limit
+    code, out, err = run_cli(capsys, "kgroup", "--field", "R", "--n", "20000", "--max-label", "20000")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "BudgetExceeded",
+        "detail": f"the result would list more than {cli.ROW_BUDGET} components",
+    }
 
 
 def test_row_budget_boundary(capsys, monkeypatch):

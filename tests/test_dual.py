@@ -218,12 +218,12 @@ def test_component_listings_count_and_order():
 
 def test_listing_blocks():
     block = dual.ListingBlock(1, range(1, -1, -1), range(1, 5), 2, False)
-    assert block.signs == ((1, 0), (0, 1))
+    assert [(i, block.r - i) for i in block.id_counts] == [(1, 0), (0, 1)]
     assert block.size == len(list(block)) == 2 * comb(4, 2)
     assert list(block.label_sets())[:2] == [(1, 2), (1, 3)]
     assert block.components((1, 2)) == (RealComponent((1, 2), 1, 0), RealComponent((1, 2), 0, 1))
     complex_block = dual.ListingBlock(None, range(0), range(-1, 2), 2, True)
-    assert complex_block.signs is None and complex_block.size == comb(4, 2)
+    assert complex_block.r is None and complex_block.size == comb(4, 2)
     assert list(complex_block)[:2] == [ComplexComponent((-1, -1)), ComplexComponent((-1, 0))]
     empty = dual.ComponentListing()
     assert empty.size == 0 and list(empty) == []

@@ -475,3 +475,80 @@ def test_repring_bc_matches_k_bc_hom():
         ring_image = repring_bc(RepRingElement(RING_U1, ((ell, 1),)))
         assert image.coefficient(id_gen) == ring_image.coefficient("1")
         assert image.coefficient(sgn_gen) == ring_image.coefficient("eps")
+
+
+# apply_hom against the sum of the images of single generators
+
+def _reference_apply(h, x):
+    """The image of ``x`` as the sum of ``coeff * h.on_generator(...)`` over its terms."""
+    image = KClass(x.degree)
+    for gen, coeff in x.terms:
+        image = image + coeff * h.on_generator(x.degree, gen)
+    return image
+
+
+@st.composite
+def _hom_and_class(draw):
+    """A bc or ai map with n = 1..4 and a class of its domain generators, in either degree."""
+    make = draw(st.sampled_from([k_ai_hom, k_bc_hom]))
+    h = make(draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    degree = draw(st.integers(0, 1))
+    basis = h.domain.generators(degree)
+    if not basis:
+        return h, KClass(degree)
+    gens = draw(st.lists(st.sampled_from(basis), max_size=8))
+    coeffs = st.integers(-5, 5) | st.integers(-10**40, 10**40)
+    return h, KClass(degree, tuple((g, draw(coeffs)) for g in gens))
+
+
+@given(_hom_and_class())
+def test_apply_hom_matches_sum_of_generator_images(case):
+    h, x = case
+    assert apply_hom(h, x) == _reference_apply(h, x)
+
+
+def test_apply_hom_reports_the_first_unknown_term():
+    h = k_ai_hom(1, 3)
+    x = KClass(1, ((RealComponent((9,)), 1), (RealComponent((2,)), 1), (RealComponent((5,)), 1)))
+    with pytest.raises(UnknownGenerator, match=re.escape(repr(RealComponent((5,))))):
+        apply_hom(h, x)
+
+
+def test_rules_return_image_terms():
+    ai = k_ai_hom(2, 5)
+    assert ai.rule(0, RealComponent((1, 3))) == ((ComplexComponent((1, 3)), 1),)
+    assert ai.rule(1, RealComponent((2,), 1, 1)) == ()
+    bc = k_bc_hom(1, 5)
+    assert bc.rule(1, ComplexComponent((0,))) == (
+        (RealComponent((), 1, 0), 1), (RealComponent((), 0, 1), 1))
+    assert bc.rule(1, ComplexComponent((3,))) == ()
+    assert k_bc_hom(3, 5).rule(1, ComplexComponent((1, 2, 3))) == ()
+
+
+def test_apply_hom_builds_one_class(monkeypatch):
+    h = k_ai_hom(2, 25)
+    x = KClass(0, tuple((g, (-1) ** i * (i + 1)) for i, g in enumerate(h.domain.generators(0)[:200])))
+    assert len(x.terms) == 200
+    built = []
+    post_init = KClass.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KClass, "__post_init__", counting)
+    image = apply_hom(h, x)
+    assert built == [image]
+    assert len(image.terms) == 200
+
+
+def test_component_hash_is_the_field_hash_and_kept():
+    r = RealComponent((3, 1), 1, 2)
+    c = ComplexComponent((4, -1))
+    assert "_hash" not in vars(r) and "_hash" not in vars(c)
+    assert hash(r) == hash(((1, 3), 1, 2)) and hash(c) == hash(((-1, 4),))
+    assert vars(r)["_hash"] == hash(r) and vars(c)["_hash"] == hash(c)
+    # the kept hash is not a field
+    assert r == RealComponent((1, 3), 1, 2) and repr(c) == "ComplexComponent(labels=(-1, 4))"
+    assert ComplexComponent.from_sorted((-1, 4)) == c
+    assert hash(ComplexComponent.from_sorted((-1, 4))) == hash(c)

@@ -93,9 +93,9 @@ def test_point_doc_shape():
 
 def test_kclass_round_trip_and_order():
     x = KClass(1, ((RealComponent((2,)), -1), (RealComponent((1,)), 2)))
-    doc = kclass_to_doc(x)
+    doc = json.loads(render(kclass_to_doc(x)))
     assert [term["coeff"] for term in doc["terms"]] == [2, -1]
-    assert kclass_from_doc(json.loads(render(doc))) == x
+    assert kclass_from_doc(doc) == x
 
 
 def test_repring_round_trip():
@@ -165,12 +165,12 @@ def test_render_table_smoke():
 # the writer behind render(doc, "json") against the reference encoder
 
 def _expand(value):
-    """``value`` with every component replaced by its component document
-    and every listing by the list of its components."""
-    if isinstance(value, (RealComponent, ComplexComponent)):
-        return component_to_doc(value)
+    """``value`` with every listing replaced by the list of its components'
+    documents, and every K-class by the list of its term documents."""
     if isinstance(value, ComponentListing):
         return [component_to_doc(c) for c in value]
+    if isinstance(value, KClass):
+        return [{"gen": component_to_doc(g), "coeff": c} for g, c in value.terms]
     if isinstance(value, dict):
         return {k: _expand(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -222,12 +222,78 @@ def test_render_kclass_with_mixed_shapes():
     assert kclass_from_doc(json.loads(render(doc))) == x
 
 
+# K-classes of mixed shapes: R with every sign split of r <= 3, C, cones
+# included; coefficients of up to 40 digits, either sign
+_coefficients = st.integers(-3, 3) | st.integers(-10**40, 10**40) | st.sampled_from([10**39, -(10**40 - 1)])
+_kclasses = st.builds(
+    KClass,
+    st.integers(0, 1),
+    st.lists(st.tuples(components, _coefficients), max_size=8).map(tuple),
+)
+
+
+def _reference_kclass_table(x) -> str:
+    lines = [f"degree={x.degree}"]
+    lines += [f"  {k:+d} * [{_reference_line(component_to_doc(c))}]" for c, k in x.terms] or ["  0"]
+    return "\n".join(lines)
+
+
+@given(_kclasses)
+def test_render_kclass_matches_reference(x):
+    # the table format: test_table_rows_match_reference
+    doc = kclass_to_doc(x)
+    assert render(doc) == _reference(doc)
+    assert kclass_from_doc(json.loads(render(doc))) == x
+
+
+def test_render_kclass_every_sign_split_and_the_empty_class():
+    gens = [RealComponent(discrete, i, r - i) for r in range(4) for i in range(r + 1)
+            for discrete in ((), (2,), (1, 5)) if discrete or r]
+    x = KClass(1, tuple((g, (-1) ** j * 10**j) for j, g in enumerate(gens)))
+    assert len(x.terms) == len(gens) == 29
+    for y in (x, KClass(0), KClass(1)):
+        doc = kclass_to_doc(y)
+        assert render(doc) == _reference(doc)
+        assert render(doc, "table") == _reference_kclass_table(y)
+    assert render(kclass_to_doc(KClass(0))) == '{\n  "degree": 0,\n  "terms": []\n}'
+
+
+def test_kclass_templates_are_built_once_per_shape(monkeypatch):
+    from temperedk import serialize
+
+    shapes = [RealComponent((), 1, 0), RealComponent((), 0, 1), RealComponent((1,), 1, 1),
+              RealComponent((1, 2)), ComplexComponent((0,)), ComplexComponent((0, 1, 2))]
+    terms = []
+    for shape in shapes:
+        for shift in range(1, 41):
+            if isinstance(shape, RealComponent):
+                gen = RealComponent(tuple(l + shift for l in shape.discrete), shape.id_count, shape.sgn_count)
+            else:
+                gen = ComplexComponent(tuple(l + shift for l in shape.labels))
+            terms.append((gen, shift))
+    doc = kclass_to_doc(KClass(1, tuple(terms)))
+    # the sign-only shapes have no labels, so each stands for one generator
+    assert len(doc["terms"].terms) == 4 * 40 + 2
+    calls = []
+    template = serialize._template
+
+    def counting(c, pad):
+        calls.append((c, pad))
+        return template(c, pad)
+
+    monkeypatch.setattr(serialize, "_template", counting)
+    for fmt in ("json", "table"):
+        calls.clear()
+        render(doc, fmt)
+        assert len(calls) == len(shapes)
+
+
 _json_scalars = (
     st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
     | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00", "é", "\u2603", "\U0001f600", "%d", "%s"])
 )
 _json_values = st.recursive(
-    _json_scalars | components,
+    _json_scalars | _kclasses,
     lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=25,
@@ -245,15 +311,9 @@ def _reference_line(doc) -> str:
     return f"labels={doc['labels']}"
 
 
-@given(st.lists(components, max_size=6))
-def test_table_rows_match_reference(comps):
-    doc = {"field": "R", "n": 1, "max_label": 1, "count": len(comps), "components": comps}
-    lines = render(doc, "table").split("\n")
-    assert lines[1:] == [_reference_line(component_to_doc(c)) for c in comps]
-    x = KClass(0, tuple((c, i + 1) for i, c in enumerate(comps)))
-    lines = render(kclass_to_doc(x), "table").split("\n")
-    expected = [f"  {k:+d} * [{_reference_line(component_to_doc(c))}]" for c, k in x.terms]
-    assert lines[1:] == (expected or ["  0"])
+@given(_kclasses)
+def test_table_rows_match_reference(x):
+    assert render(kclass_to_doc(x), "table") == _reference_kclass_table(x)
 
 
 def _reference_table(doc) -> str:
@@ -293,7 +353,7 @@ def test_render_listings_match_reference_in_both_formats():
         for listing in listings:
             assert isinstance(listing, ComponentListing)
             empty += listing.size == 0
-            shapes.update(tuple(block.signs or ()) for block in listing.blocks)
+            shapes.update(tuple((i, block.r - i) for i in block.id_counts) for block in listing.blocks)
     # interleaved id/sgn rows, the sign pair, every split of r = 3 and empty degrees
     assert {((1, 0), (0, 1)), ((1, 1),), ((3, 0), (2, 1), (1, 2), (0, 3))} <= shapes
     assert empty > 0
