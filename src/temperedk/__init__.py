@@ -28,7 +28,6 @@ from .weil import (
     galois_conjugate,
     hom_dim,
     induce_to_R,
-    is_irreducible,
     real_parameter,
     restrict_to_C,
 )
@@ -38,7 +37,6 @@ from .dual import (
     ComplexComponent,
     ComponentListing,
     IsotropyDescriptor,
-    LeviClass,
     ListingBlock,
     RealComponent,
     TemperedPoint,

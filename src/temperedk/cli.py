@@ -4,9 +4,12 @@ Verbs: components, kgroup, llc, basechange, autoinduce, kmap,
 repring-bc.  Results go to stdout (JSON by default, --format table for
 a readable listing); errors go to stderr as {"error", "detail"}
 documents.  Exit codes: 0 success, 2 usage or validation problem,
-3 internal invariant violation.  A components or kgroup listing longer
-than ROW_BUDGET rows is refused (BudgetExceeded, exit 2) before any row
-is built.
+3 internal invariant violation.  The parser checks only that --n and
+--max-label are integers; the library checks their range, n first
+(InvalidN, InvalidTruncation), and the value types check the payloads,
+so each fault has one name whichever verb meets it.  A components or
+kgroup listing longer than ROW_BUDGET rows is refused (BudgetExceeded,
+exit 2) before any row is built.
 """
 
 from __future__ import annotations
@@ -64,13 +67,6 @@ def _plain_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
 
 
-def _positive_int(text: str) -> int:
-    value = _plain_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _read_payload(text: str):
     if text == "-":
         text = sys.stdin.read()
@@ -92,15 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("components", parents=[common],
                        help="list tempered-dual components up to a label bound")
     p.add_argument("--field", choices=("R", "C"), required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_plain_int, required=True)
     p.add_argument("--max-label", type=_plain_int, required=True)
     p.set_defaults(func=_cmd_components)
 
     p = sub.add_parser("kgroup", parents=[common],
                        help="K-theory generators and schema for one group")
     p.add_argument("--field", choices=("R", "C"), required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--max-label", type=_positive_int, required=True)
+    p.add_argument("--n", type=_plain_int, required=True)
+    p.add_argument("--max-label", type=_plain_int, required=True)
     p.add_argument("--degree", type=int, choices=(0, 1))
     p.set_defaults(func=_cmd_kgroup)
 
@@ -124,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kmap", parents=[common],
                        help="apply base change (bc) or automorphic induction (ai) to a K-class")
     p.add_argument("--map", choices=("bc", "ai"), required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--max-label", type=_positive_int)
+    p.add_argument("--n", type=_plain_int, required=True)
+    p.add_argument("--max-label", type=_plain_int)
     p.add_argument("--class", dest="kclass", metavar="JSON", required=True)
     p.set_defaults(func=_cmd_kmap)
 

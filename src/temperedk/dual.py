@@ -47,24 +47,6 @@ def _sorted_labels(labels) -> tuple[int, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class LeviClass:
-    """Block structure 2^q 1^r of a standard Levi subgroup, n = 2q + r."""
-
-    q: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.q < 0 or self.r < 0:
-            raise ValueError("block counts must be nonnegative")
-        if self.n < 1:
-            raise InvalidN("a Levi class needs n >= 1")
-
-    @property
-    def n(self) -> int:
-        return 2 * self.q + self.r
-
-
 @dataclass(frozen=True, init=False)
 class RealComponent:
     """Component of the tempered dual of GL(n, R).
@@ -85,7 +67,7 @@ class RealComponent:
         if discrete and discrete[0] < 1:
             raise InvalidLabel("discrete-series labels must be >= 1")
         if id_count < 0 or sgn_count < 0:
-            raise ValueError("sign counts must be nonnegative")
+            raise InvalidN("sign counts must be nonnegative")
         if not (discrete or id_count + sgn_count):
             raise InvalidN("a component needs n >= 1")
         self.__dict__.update(discrete=discrete, id_count=id_count, sgn_count=sgn_count)
@@ -179,7 +161,7 @@ class IsotropyDescriptor:
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
         if any(m < 2 for m in self.factors):
-            raise ValueError("isotropy factors must be >= 2")
+            raise InvalidN("isotropy factors must be >= 2")
 
     @property
     def trivial(self) -> bool:
@@ -218,10 +200,8 @@ class TemperedPoint:
     def __post_init__(self) -> None:
         fixed = []
         for label, t in self.coords:
-            if isinstance(label, bool) or not isinstance(label, (int, str)):
-                raise ValueError(f"bad slot label {label!r}")
-            if isinstance(label, str) and label not in SIGNS:
-                raise ValueError(f"bad sign label {label!r}")
+            if isinstance(label, bool) or not isinstance(label, int) and label not in SIGNS:
+                raise LabelMismatch(f"bad coordinate label {label!r}")
             fixed.append((label, Fraction(t)))
         fixed.sort(key=_coord_key)
         comp = self.component
@@ -235,11 +215,18 @@ class TemperedPoint:
         object.__setattr__(self, "coords", tuple(fixed))
 
 
-def levi_classes(n: int) -> list[LeviClass]:
-    """All Levi classes for GL(n), q descending from n // 2 to 0."""
+def _check_bounds(n: int, max_label: int = 1) -> None:
+    """InvalidN unless n >= 1, then InvalidTruncation unless max_label >= 1."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
-    return [LeviClass(q, n - 2 * q) for q in range(n // 2, -1, -1)]
+    if max_label < 1:
+        raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
+
+
+def levi_classes(n: int) -> list[tuple[int, int]]:
+    """All Levi classes 2^q 1^r of GL(n) as (q, r) pairs, q descending from n // 2 to 0."""
+    _check_bounds(n)
+    return [(q, n - 2 * q) for q in range(n // 2, -1, -1)]
 
 
 def isotropy(c: Component) -> IsotropyDescriptor:
@@ -326,21 +313,16 @@ def real_components(n: int, max_label: int) -> ComponentListing:
     Deterministic order: Levi classes with q descending, discrete
     multisets lexicographic, then sign splits {id..id} .. {sgn..sgn}.
     """
-    if max_label < 1:
-        raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
+    _check_bounds(n, max_label)
     labels = range(1, max_label + 1)
     return ComponentListing(tuple(
-        ListingBlock(levi.r, range(levi.r, -1, -1), labels, levi.q, True)
-        for levi in levi_classes(n)
+        ListingBlock(r, range(r, -1, -1), labels, q, True) for q, r in levi_classes(n)
     ))
 
 
 def complex_components(n: int, max_label: int) -> ComponentListing:
     """All components for GL(n, C) with labels in [-max_label, max_label]."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    if max_label < 1:
-        raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
+    _check_bounds(n, max_label)
     return ComponentListing((ListingBlock(None, range(0), range(-max_label, max_label + 1), n, True),))
 
 

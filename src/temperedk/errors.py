@@ -2,19 +2,23 @@
 
 Everything derives from ValueError so callers can catch bad-input
 conditions with one handler; the CLI maps any ValueError to exit code 2.
+Each value is checked once, by the type or function that builds it, and
+the error names the rule it breaks; ``UsageError`` is left for faults of
+the command line and of the payload's JSON shape.
 """
 
 
 class SideMismatch(ValueError):
-    """Operands live over different base fields (R vs C)."""
+    """A base field is not R or C, or operands live over different ones."""
 
 
 class LabelMismatch(ValueError):
-    """Point coordinates do not match the component's slot labels."""
+    """Point coordinate labels are not slot labels, or not the component's."""
 
 
 class InvalidN(ValueError):
-    """The group size n is out of range (n >= 1 required)."""
+    """A size is out of range: n < 1, a negative block count, an isotropy
+    factor below 2, or a sum of no parameters."""
 
 
 class InvalidTruncation(ValueError):
@@ -34,11 +38,12 @@ class UnknownGenerator(ValueError):
 
 
 class RingMismatch(ValueError):
-    """A representation-ring element belongs to the wrong ring."""
+    """A representation-ring element names an unknown ring, a label outside
+    its ring, or belongs to the wrong ring."""
 
 
 class UsageError(ValueError):
-    """Bad command line or malformed payload document."""
+    """Bad command line, malformed payload document, or a result too long to print."""
 
 
 class BudgetExceeded(UsageError):

@@ -39,16 +39,11 @@ from .dual import (
     ComponentListing,
     ListingBlock,
     RealComponent,
+    _check_bounds,
     component_sort_key,
     is_cone,
 )
-from .errors import (
-    DegreeMismatch,
-    InvalidN,
-    InvalidTruncation,
-    RingMismatch,
-    UnknownGenerator,
-)
+from .errors import DegreeMismatch, RingMismatch, SideMismatch, UnknownGenerator
 from .weil import COMPLEX, REAL
 
 RING_U1 = "U(1)"
@@ -71,6 +66,26 @@ def _check_coeff(coeff) -> int:
     return coeff
 
 
+def _normalized(terms, sort_key, check_key=None) -> tuple:
+    """``terms``, (key, coefficient) pairs or a mapping, in normal form:
+    coefficients checked, those of equal keys summed, zeros dropped, the
+    rest sorted by ``sort_key``.  ``check_key`` sees each key before it is
+    hashed; a mapping without one has distinct keys already and is not copied."""
+    acc = terms
+    if check_key is not None or not isinstance(terms, Mapping):
+        acc = {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            if check_key is not None:
+                check_key(key)
+            acc[key] = acc.get(key, 0) + _check_coeff(coeff)
+    kept = ((key, coeff) for key, coeff in acc.items() if _check_coeff(coeff))
+    return tuple(sorted(kept, key=sort_key))
+
+
+def _coefficient(terms, key) -> int:
+    return next((coeff for k, coeff in terms if k == key), 0)
+
+
 @dataclass(frozen=True)
 class KClass:
     """Integer combination of component generators in one degree.
@@ -85,28 +100,15 @@ class KClass:
 
     def __post_init__(self) -> None:
         _check_degree(self.degree)
-        acc = self.terms
-        if not isinstance(acc, Mapping):  # a mapping's keys are distinct already
-            acc = {}
-            for gen, coeff in self.terms:
-                acc[gen] = acc.get(gen, 0) + _check_coeff(coeff)
-        normalized = tuple(
-            sorted(
-                ((gen, coeff) for gen, coeff in acc.items() if _check_coeff(coeff) != 0),
-                key=lambda term: component_sort_key(term[0]),
-            )
-        )
-        object.__setattr__(self, "terms", normalized)
+        terms = _normalized(self.terms, lambda term: component_sort_key(term[0]))
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, gen: Component) -> int:
-        for g, coeff in self.terms:
-            if g == gen:
-                return coeff
-        return 0
+        return _coefficient(self.terms, gen)
 
     def __add__(self, other: "KClass") -> "KClass":
         if not isinstance(other, KClass):
@@ -219,12 +221,9 @@ def k_ranks_component(c: Component) -> tuple[int, int]:
 
 def k_group(field_name: str, n: int, max_label: int) -> GradedKGroup:
     """Both K-groups for GL(n) over the named field, labels bounded by max_label."""
-    if n < 1:
-        raise InvalidN(f"n must be >= 1, got {n}")
-    if max_label < 1:
-        raise InvalidTruncation(f"max_label must be >= 1, got {max_label}")
+    _check_bounds(n, max_label)
     if field_name not in (REAL, COMPLEX):
-        raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field_name!r}")
+        raise SideMismatch(f"field must be {REAL!r} or {COMPLEX!r}, got {field_name!r}")
     return GradedKGroup(field_name, n, max_label)
 
 
@@ -238,9 +237,7 @@ class KHomomorphism:
     rule: Callable[[int, Component], ImageTerms] = field(compare=False, repr=False)
 
     def on_generator(self, degree: int, gen: Component) -> KClass:
-        if not self.domain.contains(degree, gen):
-            raise UnknownGenerator(f"{gen!r} is not a degree-{degree} domain generator")
-        return KClass(degree, self.rule(degree, gen))
+        return apply_hom(self, KClass(degree, ((gen, 1),)))
 
 
 def apply_hom(h: KHomomorphism, x: KClass) -> KClass:
@@ -287,8 +284,9 @@ def k_ai_hom(n: int, max_label: int) -> KHomomorphism:
     goes to the complex generator with the same labels; the sign-pair
     family in the other degree goes to 0.
     """
-    domain = k_group(REAL, 2 * n, max_label)
+    # the codomain first, so a bad n is reported as given
     codomain = k_group(COMPLEX, n, max_label)
+    domain = k_group(REAL, 2 * n, max_label)
 
     def rule(degree: int, gen: Component) -> ImageTerms:
         if degree == n % 2 and isinstance(gen, RealComponent) and gen.r == 0:
@@ -309,18 +307,8 @@ class RepRingElement:
     def __post_init__(self) -> None:
         if self.ring not in (RING_U1, RING_Z2):
             raise RingMismatch(f"unknown ring {self.ring!r}")
-        acc: dict[Union[int, str], int] = {}
-        items = self.coeffs.items() if isinstance(self.coeffs, Mapping) else self.coeffs
-        for label, coeff in items:
-            self._check_label(label)
-            acc[label] = acc.get(label, 0) + _check_coeff(coeff)
-        normalized = tuple(
-            sorted(
-                ((label, coeff) for label, coeff in acc.items() if coeff != 0),
-                key=self._label_key,
-            )
-        )
-        object.__setattr__(self, "coeffs", normalized)
+        coeffs = _normalized(self.coeffs, self._label_key, self._check_label)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check_label(self, label) -> None:
         if self.ring == RING_U1:
@@ -334,10 +322,7 @@ class RepRingElement:
         return (0, label) if self.ring == RING_U1 else (0, 0 if label == "1" else 1)
 
     def coefficient(self, label) -> int:
-        for lab, coeff in self.coeffs:
-            if lab == label:
-                return coeff
-        return 0
+        return _coefficient(self.coeffs, label)
 
     def __add__(self, other: "RepRingElement") -> "RepRingElement":
         if not isinstance(other, RepRingElement):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InvalidLabel, SideMismatch
+from .errors import InvalidLabel, InvalidN, SideMismatch
 
 REAL = "R"
 COMPLEX = "C"
@@ -110,7 +110,7 @@ class LParameter:
 
     def __post_init__(self) -> None:
         if self.side not in (REAL, COMPLEX):
-            raise ValueError(f"side must be {REAL!r} or {COMPLEX!r}, got {self.side!r}")
+            raise SideMismatch(f"side must be {REAL!r} or {COMPLEX!r}, got {self.side!r}")
         out: list[Summand] = []
         for s in self.summands:
             if s.side != self.side:
@@ -122,7 +122,7 @@ class LParameter:
                 s = RealDiscreteSummand(-s.ell, s.t)
             out.append(s)
         if not out:
-            raise ValueError("a parameter needs at least one summand")
+            raise InvalidN("a parameter needs at least one summand")
         out.sort(key=_summand_key)
         object.__setattr__(self, "summands", tuple(out))
 
@@ -150,7 +150,7 @@ def direct_sum(parameters: Iterable[LParameter]) -> LParameter:
     """Concatenate parameters over a common side into one direct sum."""
     parts = list(parameters)
     if not parts:
-        raise ValueError("direct_sum needs at least one parameter")
+        raise InvalidN("direct_sum needs at least one parameter")
     out = parts[0]
     for p in parts[1:]:
         out = out + p
@@ -181,10 +181,6 @@ def equivalent(a: LParameter, b: LParameter) -> bool:
 def decompose(p: LParameter) -> tuple[Summand, ...]:
     """Multiset of canonical irreducible summands, in canonical order."""
     return p.summands
-
-
-def is_irreducible(p: LParameter) -> bool:
-    return len(p.summands) == 1
 
 
 def restrict_to_C(p: LParameter) -> LParameter:

@@ -284,6 +284,42 @@ def test_truncation_rule_same_for_both_fields(capsys):
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidTruncation"
+    # every verb and field checks n first, whatever the order of the flags
+    for head in (["components", "--field", "R"], ["components", "--field", "C"],
+                 ["kgroup", "--field", "R"], ["kgroup", "--field", "C"],
+                 ["kmap", "--map", "ai"], ["kmap", "--map", "bc"]):
+        tail = ["--class", json.dumps({"degree": 1, "terms": []})] if head[0] == "kmap" else []
+        for n, max_label, want in [
+            ("0", "0", {"error": "InvalidN", "detail": "n must be >= 1, got 0"}),
+            ("-2", "5", {"error": "InvalidN", "detail": "n must be >= 1, got -2"}),
+            ("2", "-3", {"error": "InvalidTruncation", "detail": "max_label must be >= 1, got -3"}),
+        ]:
+            code, out, err = run_cli(capsys, *head, "--max-label", max_label, "--n", n, *tail)
+            assert (code, out) == (2, ""), head
+            assert json.loads(err) == want, head
+
+
+# two equal terms whose coefficients each have as many digits as the limit allows
+_NINES = int("9" * sys.get_int_max_str_digits())
+_LONG_SUMS = {
+    "kmap": ["kmap", "--map", "ai", "--n", "1", "--class", json.dumps({"degree": 1, "terms": [
+        {"gen": {"field": "R", "n": 2, "q": 1, "r": 0, "discrete": [1], "signs": []}, "coeff": _NINES},
+    ] * 2})],
+    "repring-bc": ["repring-bc", "--element", json.dumps(
+        {"ring": "U(1)", "coeffs": [{"label": 0, "coeff": _NINES}] * 2})],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("verb", sorted(_LONG_SUMS))
+def test_summed_coefficient_too_long_to_print_is_a_named_error(capsys, verb, fmt):
+    code, out, err = run_cli(capsys, *_LONG_SUMS[verb], "--format", fmt)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "detail": f"the result holds an integer longer than {limit} digits",
+    }
 
 
 def test_overlong_result_is_a_named_error(capsys):

@@ -16,7 +16,6 @@ from temperedk import (
     InvalidTruncation,
     IsotropyDescriptor,
     LabelMismatch,
-    LeviClass,
     RealComponent,
     TemperedPoint,
     canonicalize_point,
@@ -35,22 +34,20 @@ from _strategies import complex_components, components, raw_points, real_compone
 # Levi classes
 
 def test_levi_classes_examples():
-    assert [(l.q, l.r) for l in levi_classes(4)] == [(2, 0), (1, 2), (0, 4)]
-    assert [(l.q, l.r) for l in levi_classes(1)] == [(0, 1)]
-    assert [(l.q, l.r) for l in levi_classes(5)] == [(2, 1), (1, 3), (0, 5)]
+    assert levi_classes(4) == [(2, 0), (1, 2), (0, 4)]
+    assert levi_classes(1) == [(0, 1)]
+    assert levi_classes(5) == [(2, 1), (1, 3), (0, 5)]
 
 
 def test_levi_classes_partition_n():
     for n in range(1, 9):
-        for levi in levi_classes(n):
-            assert levi.n == n
+        for q, r in levi_classes(n):
+            assert q >= 0 and r >= 0 and 2 * q + r == n
 
 
 def test_levi_classes_rejects_bad_n():
     with pytest.raises(InvalidN):
         levi_classes(0)
-    with pytest.raises(InvalidN):
-        LeviClass(0, 0)
 
 
 # isotropy and cones
@@ -137,6 +134,8 @@ def test_enumerate_real_errors():
         enumerate_components_real(2, 0)
     with pytest.raises(InvalidN):
         enumerate_components_real(0, 3)
+    with pytest.raises(InvalidN):  # n is checked first
+        enumerate_components_real(0, 0)
 
 
 def test_enumerate_real_monotone_in_truncation():
@@ -176,6 +175,8 @@ def test_enumerate_complex_errors():
         enumerate_components_complex(2, -1)
     with pytest.raises(InvalidN):
         enumerate_components_complex(0, 2)
+    with pytest.raises(InvalidN):  # n is checked first
+        enumerate_components_complex(0, 0)
 
 
 # listings

@@ -11,9 +11,12 @@ from temperedk import (
     RING_U1,
     ComplexComponent,
     ComponentListing,
+    InvalidN,
     KClass,
+    LabelMismatch,
     RealComponent,
     RepRingElement,
+    RingMismatch,
     TemperedPoint,
     UsageError,
     k_group,
@@ -120,15 +123,15 @@ def test_from_doc_validation():
         component_from_doc({"field": "C", "n": 2, "labels": [1]})
     with pytest.raises(UsageError):
         component_from_doc({"field": "Q", "n": 1, "labels": [0]})
-    with pytest.raises(UsageError):
+    with pytest.raises(LabelMismatch, match="bad coordinate label 'up'"):
         point_from_doc({"field": "C", "n": 1, "labels": [0], "coords": [{"label": "up", "t": "0"}]})
     with pytest.raises(UsageError):
         parameter_from_doc({"side": "R", "summands": [{"kind": "spin", "t": "0"}]})
-    with pytest.raises(UsageError):
+    with pytest.raises(InvalidN):
         parameter_from_doc({"side": "R", "summands": []})
     with pytest.raises(UsageError):
         kclass_from_doc({"degree": 3, "terms": []})
-    with pytest.raises(UsageError):
+    with pytest.raises(RingMismatch):
         repring_from_doc({"ring": "U(1)", "coeffs": [{"label": "1", "coeff": 1}]})
     # JSON booleans are never integers
     gen = {"field": "C", "n": 1, "labels": [0]}

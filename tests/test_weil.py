@@ -20,7 +20,6 @@ from temperedk import (
     galois_conjugate,
     hom_dim,
     induce_to_R,
-    is_irreducible,
     real_parameter,
     restrict_to_C,
 )
@@ -178,10 +177,10 @@ def test_decompose_parts_are_canonical_irreducibles(p):
 
 
 def test_is_irreducible():
-    assert is_irreducible(induce_to_R(ComplexCharacter(2, 0)))
-    assert not is_irreducible(induce_to_R(ComplexCharacter(0, 0)))
-    assert is_irreducible(real_parameter(RealCharacter(1, 0)))
-    assert not is_irreducible(real_parameter(RealDiscreteSummand(0, 1)))
+    assert len(induce_to_R(ComplexCharacter(2, 0)).summands) == 1
+    assert len(induce_to_R(ComplexCharacter(0, 0)).summands) == 2
+    assert len(real_parameter(RealCharacter(1, 0)).summands) == 1
+    assert len(real_parameter(RealDiscreteSummand(0, 1)).summands) == 2
 
 
 # restriction and induction
@@ -232,7 +231,7 @@ def test_restrict_after_induce_gives_chi_and_conjugate(chi):
 
 @given(complex_characters)
 def test_induction_irreducible_iff_nonzero_label(chi):
-    assert is_irreducible(induce_to_R(chi)) == (chi.ell != 0)
+    assert (len(induce_to_R(chi).summands) == 1) == (chi.ell != 0)
 
 
 def test_induced_equivalence_classification():
