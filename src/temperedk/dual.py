@@ -200,7 +200,7 @@ class TemperedPoint:
     def __post_init__(self) -> None:
         fixed = []
         for label, t in self.coords:
-            if isinstance(label, bool) or not isinstance(label, int) and label not in SIGNS:
+            if isinstance(label, bool) or (not isinstance(label, int) and label not in SIGNS):
                 raise LabelMismatch(f"bad coordinate label {label!r}")
             fixed.append((label, Fraction(t)))
         fixed.sort(key=_coord_key)

@@ -17,8 +17,8 @@ class LabelMismatch(ValueError):
 
 
 class InvalidN(ValueError):
-    """A size is out of range: n < 1, a negative block count, an isotropy
-    factor below 2, or a sum of no parameters."""
+    """A size is out of range: n below 1 (a component, parameter or sum with
+    nothing in it), a negative sign count, or an isotropy factor below 2."""
 
 
 class InvalidTruncation(ValueError):
