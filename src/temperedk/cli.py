@@ -20,7 +20,7 @@ import json
 import sys
 
 from .dual import RealComponent, complex_components, real_components
-from .errors import BudgetExceeded, UsageError
+from .errors import BudgetExceeded, SideMismatch, UsageError
 from .ktheory import apply_hom, k_ai_hom, k_bc_hom, k_group, repring_bc
 from .langlands import (
     auto_induce_point,
@@ -156,17 +156,16 @@ def _cmd_llc(args) -> dict:
     if (args.parameter is None) == (args.point is None):
         raise UsageError("provide exactly one of --parameter or --point")
     if args.parameter is not None:
-        param = parameter_from_doc(_read_payload(args.parameter))
-        if args.field is not None and args.field != param.side:
-            raise UsageError(f"--field {args.field} does not match the payload side {param.side}")
-        point = llc_real(param) if param.side == "R" else llc_complex(param)
-        return point_to_doc(point)
-    point = point_from_doc(_read_payload(args.point))
-    side = point.component.field
+        value = parameter_from_doc(_read_payload(args.parameter))
+        side, to_doc = value.side, point_to_doc
+        llc = llc_real if side == "R" else llc_complex
+    else:
+        value = point_from_doc(_read_payload(args.point))
+        side, to_doc = value.component.field, parameter_to_doc
+        llc = llc_real_inv if side == "R" else llc_complex_inv
     if args.field is not None and args.field != side:
-        raise UsageError(f"--field {args.field} does not match the payload field {side}")
-    param = llc_real_inv(point) if side == "R" else llc_complex_inv(point)
-    return parameter_to_doc(param)
+        raise SideMismatch(f"--field {args.field} does not match the payload side {side}")
+    return to_doc(llc(value))
 
 
 def _cmd_basechange(args) -> dict:

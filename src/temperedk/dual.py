@@ -11,8 +11,9 @@ is a closed cone and contributes nothing to K-theory.
 Families of components are listed by a ``ComponentListing``: a
 re-iterable value made of blocks, each the k-element label sets (or
 multisets) of one range, every set taken with each sign split of the
-block.  Its ``size`` is a sum of binomial coefficients, so a listing is
-counted without building it; ``enumerate_components_real`` and
+block.  Its ``size`` is a sum of binomial coefficients and ``in`` checks
+a component against each block's ranges, so a listing is counted and
+searched without building it; ``enumerate_components_real`` and
 ``enumerate_components_complex`` are lists of the listings that
 ``real_components`` and ``complex_components`` return.
 """
@@ -288,13 +289,28 @@ class ListingBlock:
         for labels in self.label_sets():
             yield from self.components(labels)
 
+    def __contains__(self, c) -> bool:
+        """Whether ``c`` is a component of a row, from its shape and labels alone."""
+        if self.r is None:
+            if not isinstance(c, ComplexComponent):
+                return False
+            labels = c.labels
+        elif isinstance(c, RealComponent) and c.r == self.r and c.id_count in self.id_counts:
+            labels = c.discrete
+        else:
+            return False
+        # labels are sorted when a component is built, so the end labels bound the rest
+        k, bound = self.k, self.labels
+        return len(labels) == k and (not k or labels[0] in bound and labels[-1] in bound
+                                     and (self.repeat or len(set(labels)) == k))
+
 
 @dataclass(frozen=True)
 class ComponentListing:
     """A re-iterable listing of components, block after block.
 
-    ``size`` is the count, a sum of binomial coefficients; iterating
-    builds the components one at a time.
+    ``size`` is the count, a sum of binomial coefficients; ``in`` asks
+    each block; iterating builds the components one at a time.
     """
 
     blocks: tuple[ListingBlock, ...] = ()
@@ -305,6 +321,12 @@ class ComponentListing:
 
     def __iter__(self) -> Iterator[Component]:
         return chain.from_iterable(self.blocks)
+
+    def __contains__(self, c) -> bool:
+        for block in self.blocks:
+            if c in block:
+                return True
+        return False
 
 
 def real_components(n: int, max_label: int) -> ComponentListing:

@@ -17,21 +17,24 @@ abelian on closed-form generator families:
 
 ``k_group`` truncates the families at a label bound and returns a
 ``GradedKGroup`` that stores only (field, n, max_label).  Each degree's
-generators form a one-block ``ComponentListing`` of label sets; its
-size, the rank, is a binomial coefficient, and its components are
-built only when it is iterated.  The schema strings describe the
-untruncated families, and the membership test checks the shape and
-labels of one component.
+generators form a one-block ``ComponentListing`` of distinct label sets,
+built from the closed form above: the block is the only description of
+the family.  Its size, the rank, is a binomial coefficient; its
+components are built only when it is iterated; ``gen in listing``
+checks one component's shape and labels against the block's ranges; and
+the schema strings, read off the block, describe the untruncated
+families.
 ``k_bc_hom`` and ``k_ai_hom`` build the base-change and
 automorphic-induction maps on K-theory, with rules defined label-wise
 so they extend beyond any truncation.  A rule returns the image terms
-of one generator; ``apply_hom`` sums them in one dict into one class.
+of one generator; ``apply_hom`` checks each term against the domain
+listing and sums the images in one dict into one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Union
 
 from .dual import (
     Component,
@@ -43,8 +46,8 @@ from .dual import (
     component_sort_key,
     is_cone,
 )
-from .errors import DegreeMismatch, RingMismatch, SideMismatch, UnknownGenerator
-from .weil import COMPLEX, REAL
+from .errors import DegreeMismatch, RingMismatch, UnknownGenerator
+from .weil import COMPLEX, REAL, _check_side
 
 RING_U1 = "U(1)"
 RING_Z2 = "Z/2Z"
@@ -127,20 +130,13 @@ class KClass:
         return KClass(self.degree, tuple((g, scalar * c) for g, c in self.terms))
 
 
-# generator families of the graded pieces: each generator is a set of k
-# distinct labels, plus a fixed sign split in the real families
-_DISCRETE, _PAIR, _SIGN, _COMPLEX = "discrete", "pair", "sign", "complex"
-
-# (r, id counts) of the generators of each real family, in generator order:
-# the sign splits are (i, r - i) for i in the id counts
-_SIGN_SPLITS = {_DISCRETE: (0, range(0, -1, -1)), _PAIR: (2, range(1, 0, -1)), _SIGN: (1, range(1, -1, -1))}
-
-# schema text after "one generator per k-element set of distinct "
+# schema text after "one generator per k-element set of distinct ", by the
+# block's sign slot count r (None over C)
 _SCHEMA_TAIL = {
-    _DISCRETE: "positive discrete labels (r = 0 components)",
-    _PAIR: "positive discrete labels with the sign pair {id, sgn} (r = 2 components)",
-    _SIGN: "positive discrete labels and a sign character id or sgn (r = 1 components)",
-    _COMPLEX: "integer labels (components with trivial isotropy)",
+    0: "positive discrete labels (r = 0 components)",
+    1: "positive discrete labels and a sign character id or sgn (r = 1 components)",
+    2: "positive discrete labels with the sign pair {id, sgn} (r = 2 components)",
+    None: "integer labels (components with trivial isotropy)",
 }
 
 
@@ -148,68 +144,48 @@ _SCHEMA_TAIL = {
 class GradedKGroup:
     """The two K-groups of one reduced group C*-algebra, truncated at a label bound.
 
-    Only (field, n, max_label) is stored: listings, ranks, schemas and
-    membership come from the closed-form families, and generators are
-    built when a listing is iterated.
+    Only (field, n, max_label) is stored: each degree's generators are one
+    ``ListingBlock`` of distinct label sets, built from the closed form when
+    asked for, and its ranges give the rank, the schema and membership.
     """
 
     field: str
     n: int
     max_label: int
 
-    def _family(self, degree: int) -> tuple[Optional[str], int]:
-        """(family, label count k) of one degree; family None for the zero group."""
-        _check_degree(degree)
-        n = self.n
-        if self.field == REAL:
-            q = n // 2
-            if n % 2 == 0:
-                return (_DISCRETE, q) if degree == q % 2 else (_PAIR, q - 1)
-            return (_SIGN, q) if degree == (q + 1) % 2 else (None, 0)
-        return (_COMPLEX, n) if degree == n % 2 else (None, 0)
-
-    def _labels(self, family: str) -> range:
-        """The increasing range the family's label sets are drawn from."""
-        L = self.max_label
-        return range(-L, L + 1) if family == _COMPLEX else range(1, L + 1)
-
     def listing(self, degree: int) -> ComponentListing:
         """The generators of one degree, in ``component_sort_key`` order, unbuilt."""
-        family, k = self._family(degree)
-        if family is None:
-            return ComponentListing()
-        # combinations of an increasing range come out in lexicographic order
-        r, id_counts = (None, range(0)) if family == _COMPLEX else _SIGN_SPLITS[family]
-        return ComponentListing((ListingBlock(r, id_counts, self._labels(family), k, False),))
+        _check_degree(degree)
+        n, positive = self.n, range(1, self.max_label + 1)
+        q = n // 2
+        # combinations of an increasing range come out in lexicographic order;
+        # a real block's sign splits are (i, r - i) for i in its id counts
+        if self.field == COMPLEX:
+            if degree != n % 2:
+                return ComponentListing()
+            block = ListingBlock(None, range(0), range(-self.max_label, self.max_label + 1), n, False)
+        elif n % 2:
+            if degree != (q + 1) % 2:
+                return ComponentListing()
+            block = ListingBlock(1, range(1, -1, -1), positive, q, False)
+        elif degree == q % 2:
+            block = ListingBlock(0, range(0, -1, -1), positive, q, False)
+        else:
+            block = ListingBlock(2, range(1, 0, -1), positive, q - 1, False)
+        return ComponentListing((block,))
 
     def rank(self, degree: int) -> int:
         return self.listing(degree).size
 
     def schema(self, degree: int) -> str:
-        family, k = self._family(degree)
-        if family is None:
+        blocks = self.listing(degree).blocks
+        if not blocks:
             return "0"
-        return f"free abelian, one generator per {k}-element set of distinct {_SCHEMA_TAIL[family]}"
+        (block,) = blocks
+        return f"free abelian, one generator per {block.k}-element set of distinct {_SCHEMA_TAIL[block.r]}"
 
     def generators(self, degree: int) -> tuple[Component, ...]:
         return tuple(self.listing(degree))
-
-    def contains(self, degree: int, gen: Component) -> bool:
-        """Whether ``gen`` is a degree-``degree`` generator, without listing any."""
-        family, k = self._family(degree)
-        if family == _COMPLEX and isinstance(gen, ComplexComponent):
-            labels = gen.labels
-        elif family in _SIGN_SPLITS and isinstance(gen, RealComponent):
-            r, id_counts = _SIGN_SPLITS[family]
-            if gen.r != r or gen.id_count not in id_counts:
-                return False
-            labels = gen.discrete
-        else:
-            return False
-        # labels are sorted when a component is built, so the end labels bound the rest
-        bound = self._labels(family)
-        return len(labels) == k and (not labels or labels[0] in bound and labels[-1] in bound
-                                     and len(set(labels)) == k)
 
 
 def k_ranks_component(c: Component) -> tuple[int, int]:
@@ -222,9 +198,7 @@ def k_ranks_component(c: Component) -> tuple[int, int]:
 def k_group(field_name: str, n: int, max_label: int) -> GradedKGroup:
     """Both K-groups for GL(n) over the named field, labels bounded by max_label."""
     _check_bounds(n, max_label)
-    if field_name not in (REAL, COMPLEX):
-        raise SideMismatch(f"field must be {REAL!r} or {COMPLEX!r}, got {field_name!r}")
-    return GradedKGroup(field_name, n, max_label)
+    return GradedKGroup(_check_side(field_name), n, max_label)
 
 
 @dataclass(frozen=True)
@@ -242,10 +216,10 @@ class KHomomorphism:
 
 def apply_hom(h: KHomomorphism, x: KClass) -> KClass:
     """Image of a K-class: its terms' images summed into one class; each must be a domain generator."""
-    degree, contains, rule = x.degree, h.domain.contains, h.rule
+    degree, generators, rule = x.degree, h.domain.listing(x.degree), h.rule
     acc: dict[Component, int] = {}
     for gen, coeff in x.terms:
-        if not contains(degree, gen):
+        if gen not in generators:
             raise UnknownGenerator(f"{gen!r} is not a degree-{degree} domain generator")
         for image_gen, c in rule(degree, gen):
             acc[image_gen] = acc.get(image_gen, 0) + coeff * c

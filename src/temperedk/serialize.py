@@ -30,14 +30,14 @@ from .dual import (
     TemperedPoint,
 )
 from .errors import UsageError
-from .ktheory import GradedKGroup, KClass, RepRingElement
+from .ktheory import GradedKGroup, KClass, RepRingElement, _check_degree
 from .weil import (
-    COMPLEX,
     REAL,
     ComplexCharacter,
     LParameter,
     RealCharacter,
     RealDiscreteSummand,
+    _check_side,
 )
 
 
@@ -180,7 +180,7 @@ def parameter_to_doc(p: LParameter) -> dict:
 
 
 def parameter_from_doc(doc) -> LParameter:
-    side = _require(doc, "side", str)
+    side = _check_side(_require(doc, "side", str))
     entries = _require(doc, "summands", list)
     summands = []
     if side == REAL:
@@ -193,15 +193,13 @@ def parameter_from_doc(doc) -> LParameter:
                 summands.append(RealDiscreteSummand(_require(entry, "ell", int), t))
             else:
                 raise UsageError(f'summand kind must be "character" or "discrete", got {kind!r}')
-    elif side == COMPLEX:
+    else:
         for entry in entries:
             summands.append(
                 ComplexCharacter(
                     _require(entry, "ell", int), fraction_from_json(_require(entry, "t"))
                 )
             )
-    else:
-        raise UsageError(f'side must be "R" or "C", got {side!r}')
     return LParameter(side, tuple(summands))
 
 
@@ -211,9 +209,8 @@ def kclass_to_doc(x: KClass) -> dict:
 
 
 def kclass_from_doc(doc) -> KClass:
-    degree = _require(doc, "degree", int)
-    if degree not in (0, 1):
-        raise UsageError(f"degree must be 0 or 1, got {degree!r}")
+    # checked before any term is decoded, so a class-level fault is reported first
+    degree = _check_degree(_require(doc, "degree", int))
     terms = []
     for entry in _require(doc, "terms", list):
         gen = component_from_doc(_require(entry, "gen"))
@@ -245,11 +242,8 @@ def kgroup_to_doc(group: GradedKGroup, degrees=(0, 1)) -> dict:
         "degrees": {},
     }
     for j in degrees:
-        out["degrees"][str(j)] = {
-            "rank": group.rank(j),
-            "schema": group.schema(j),
-            "generators": group.listing(j),
-        }
+        listing = group.listing(j)
+        out["degrees"][str(j)] = {"rank": listing.size, "schema": group.schema(j), "generators": listing}
     return out
 
 

@@ -84,6 +84,12 @@ class RealDiscreteSummand:
 Summand = Union[ComplexCharacter, RealCharacter, RealDiscreteSummand]
 
 
+def _check_side(side: str) -> str:
+    if side not in (REAL, COMPLEX):
+        raise SideMismatch(f"side must be {REAL!r} or {COMPLEX!r}, got {side!r}")
+    return side
+
+
 def _summand_key(s: Summand):
     # total order: characters before two-dimensional summands,
     # then by (eps, t) resp. (ell, t)
@@ -109,8 +115,7 @@ class LParameter:
     summands: tuple[Summand, ...]
 
     def __post_init__(self) -> None:
-        if self.side not in (REAL, COMPLEX):
-            raise SideMismatch(f"side must be {REAL!r} or {COMPLEX!r}, got {self.side!r}")
+        _check_side(self.side)
         out: list[Summand] = []
         for s in self.summands:
             if s.side != self.side:

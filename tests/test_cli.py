@@ -420,6 +420,28 @@ def test_table_format(capsys):
     assert out.splitlines()[0] == "field=R n=2 max_label=2 count=5"
 
 
+# the bytes of each table, recorded before any of these paths had a test
+TABLE_BYTES = [
+    (("llc", "--point", json.dumps({
+        "field": "R", "n": 5, "q": 1, "r": 3, "discrete": [2], "signs": ["id", "sgn", "sgn"],
+        "coords": [{"label": 2, "t": "1/2"}, {"label": "id", "t": "-3"},
+                   {"label": "sgn", "t": "0"}, {"label": "sgn", "t": "7/4"}]})),
+     "side=R\n  kind=character eps=0 t=-3\n  kind=character eps=1 t=0\n"
+     "  kind=character eps=1 t=7/4\n  kind=discrete ell=2 t=1/2\n"),
+    (("llc", "--point", json.dumps({
+        "field": "C", "n": 2, "labels": [-1, 3],
+        "coords": [{"label": 3, "t": "1/3"}, {"label": -1, "t": "2"}]})),
+     "side=C\n  ell=-1 t=2\n  ell=3 t=1/3\n"),
+    (("repring-bc", "--element", json.dumps({"ring": "U(1)", "coeffs": [{"label": 3, "coeff": 2}]})),
+     "ring=Z/2Z\n  0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", TABLE_BYTES, ids=["llc-R", "llc-C", "repring-zero"])
+def test_table_bytes(capsys, argv, want):
+    assert run_cli(capsys, *argv, "--format", "table") == (0, want, "")
+
+
 def test_module_invocation_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "temperedk", "components", "--field", "C", "--n", "1",

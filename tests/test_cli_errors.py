@@ -12,8 +12,10 @@ one check in one place.
 nothing else.  A size below 1 is now reported by the function that
 builds the result (``InvalidN``, ``InvalidTruncation``) rather than by the
 command line parser, and a payload fault is reported by the value type
-that checks it (``LabelMismatch``, ``InvalidN``, ``RingMismatch``) rather
-than renamed ``UsageError`` by the decoder.  To record the file again,
+that checks it (``LabelMismatch``, ``InvalidN``, ``RingMismatch``,
+``SideMismatch``) rather than renamed ``UsageError`` by the decoder.  An
+``llc --field`` that does not match the payload is ``SideMismatch``, as
+it is for ``basechange`` and ``autoinduce``.  To record the file again,
 run ``python tests/test_cli_errors.py --record``.
 """
 
@@ -123,8 +125,12 @@ CASES = [
 # the case's argv (as a tuple) -> (error, detail) it now reports; every
 # other case must match its recording byte for byte
 RENAMED = {
+    tuple(_llc("--parameter", {"side": "Q", "summands": [R_CHAR]})):
+        ("SideMismatch", "side must be 'R' or 'C', got 'Q'"),
     tuple(_llc("--parameter", {"side": "R", "summands": []})):
         ("InvalidN", "a parameter needs at least one summand"),
+    tuple(_llc("--parameter", R_PARAM, "--field", "C")):
+        ("SideMismatch", "--field C does not match the payload side R"),
     tuple(_llc("--parameter", {"side": "C", "summands": []})):
         ("InvalidN", "a parameter needs at least one summand"),
     tuple(_llc("--point", _with(R_POINT, coords=[{"label": "up", "t": "1"}]))):
@@ -135,6 +141,8 @@ RENAMED = {
         ("LabelMismatch", "bad coordinate label 2.0"),
     tuple(_llc("--point", _with(C_POINT, coords=[{"label": [2], "t": "1"}]))):
         ("LabelMismatch", "bad coordinate label [2]"),
+    tuple(_llc("--point", C_POINT, "--field", "R")):
+        ("SideMismatch", "--field R does not match the payload side C"),
     ("basechange", "--point", json.dumps(_with(R_POINT, coords=[{"label": "eps", "t": "1"}]))):
         ("LabelMismatch", "bad coordinate label 'eps'"),
     ("repring-bc", "--element", json.dumps({"ring": "SO(2)", "coeffs": []})):

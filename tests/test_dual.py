@@ -244,6 +244,39 @@ def test_large_real_listing_is_counted_from_its_blocks():
     assert listing.size == sum(n - 2 * q + 1 for q in range(n // 2 + 1)) == 25_010_001
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_listing_membership_matches_its_components(n):
+    for L in range(1, 5):
+        # labels one past the bound, the other field and a neighbouring n
+        universe = [*dual.real_components(n, L + 1), *dual.complex_components(n, L + 1),
+                    *dual.real_components(n + 1, 1), *dual.complex_components(n + 1, 1)]
+        for listing in (dual.real_components(n, L), dual.complex_components(n, L)):
+            listed = set(listing)
+            for c in universe:
+                assert (c in listing) == (c in listed)
+            assert None not in listing and (1,) * n not in listing
+
+
+def test_listing_membership_lists_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("components were listed")
+
+    # every listing draws its label sets from these two
+    monkeypatch.setattr(dual, "combinations", refuse)
+    monkeypatch.setattr(dual, "combinations_with_replacement", refuse)
+    real = dual.real_components(10**4, 1)
+    assert RealComponent((1,) * 4000, 700, 1300) in real
+    assert RealComponent((), 10**4, 0) in real
+    assert RealComponent((2,) * 4000, 700, 1300) not in real
+    assert RealComponent((1,) * 4000, 700, 1301) not in real
+    complex_ = dual.complex_components(100, 1000)
+    assert ComplexComponent(range(-1000, -900)) in complex_
+    assert ComplexComponent((7,) * 100) in complex_
+    assert ComplexComponent((0,) * 99 + (1001,)) not in complex_
+    assert ComplexComponent((0,) * 99) not in complex_
+    assert RealComponent((1,) * 50) not in complex_
+
+
 # counting non-cone components
 
 def test_noncone_counts_match_closed_forms():

@@ -8,8 +8,11 @@ exit code and stderr of every case, recorded before the generator
 decoder became one pass; the test checks that the decoder still gives
 the same error, with the same message, for the same fault first.
 
-The one intended difference: a label below the range of its family was
-reported as a bare ``ValueError`` and is now ``InvalidLabel``.  To record
+``RENAMED`` lists the cases whose error changed since the recording: a
+label below the range of its family was reported as a bare ``ValueError``
+and is now ``InvalidLabel``, and a degree other than 0 or 1 is reported
+by the K-theory degree check (``DegreeMismatch``) rather than renamed
+``UsageError`` by the decoder.  To record
 the file again after an intended change, run
 ``python tests/test_kclass_decode_errors.py --record``.
 """
@@ -25,9 +28,6 @@ import pytest
 from temperedk import cli
 
 RECORDED = Path(__file__).resolve().parent / "kclass_decode_errors.json"
-
-# error names changed since the recording, old -> new
-RENAMED = {"ValueError": "InvalidLabel"}
 
 R1 = {"field": "R", "n": 2, "q": 1, "r": 0, "discrete": [1], "signs": []}
 C1 = {"field": "C", "n": 1, "labels": [0]}
@@ -123,6 +123,15 @@ CASES = [
 ]
 
 
+# the case's argv (as a tuple) -> the error it now reports, with the recorded detail
+RENAMED = {
+    tuple(_argv({"degree": 2, "terms": []})): "DegreeMismatch",
+    tuple(_argv(_one_term(_gen(R1, discrete=[0])))): "InvalidLabel",
+    tuple(_argv(_one_term({"field": "R", "n": 4, "q": 2, "r": 0, "discrete": [3, -1],
+                           "signs": []}))): "InvalidLabel",
+}
+
+
 def run(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -133,10 +142,10 @@ def run(argv) -> dict:
 RECORD = json.loads(RECORDED.read_text()) if RECORDED.exists() else []
 
 
-def _renamed(stderr: str) -> str:
+def _expected(entry) -> str:
     # the CLI writes one json.dumps(sort_keys=True) line, so this round trip keeps the bytes
-    doc = json.loads(stderr)
-    doc["error"] = RENAMED.get(doc["error"], doc["error"])
+    doc = json.loads(entry["stderr"])
+    doc["error"] = RENAMED.get(tuple(entry["argv"]), doc["error"])
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
@@ -145,12 +154,19 @@ def test_every_case_is_recorded():
     assert [entry["argv"] for entry in RECORD] == CASES
 
 
+def test_every_rename_names_a_case_that_changed():
+    assert set(RENAMED) <= {tuple(argv) for argv in CASES}
+    for entry in RECORD:
+        if tuple(entry["argv"]) in RENAMED:
+            assert _expected(entry) != entry["stderr"]
+
+
 @pytest.mark.parametrize("index", range(len(CASES)))
 def test_decode_error_output(index):
     want = RECORD[index]
     got = run(CASES[index])
     assert (got["exit"], got["stdout"]) == (want["exit"], want["stdout"])
-    assert got["stderr"] == _renamed(want["stderr"])
+    assert got["stderr"] == _expected(want)
 
 
 def test_record_holds_errors_only():

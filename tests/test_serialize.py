@@ -11,12 +11,14 @@ from temperedk import (
     RING_U1,
     ComplexComponent,
     ComponentListing,
+    DegreeMismatch,
     InvalidN,
     KClass,
     LabelMismatch,
     RealComponent,
     RepRingElement,
     RingMismatch,
+    SideMismatch,
     TemperedPoint,
     UsageError,
     k_group,
@@ -129,8 +131,10 @@ def test_from_doc_validation():
         parameter_from_doc({"side": "R", "summands": [{"kind": "spin", "t": "0"}]})
     with pytest.raises(InvalidN):
         parameter_from_doc({"side": "R", "summands": []})
-    with pytest.raises(UsageError):
-        kclass_from_doc({"degree": 3, "terms": []})
+    with pytest.raises(SideMismatch, match="side must be 'R' or 'C', got 'Q'"):
+        parameter_from_doc({"side": "Q", "summands": [{"ell": 1, "t": "0"}]})
+    with pytest.raises(DegreeMismatch, match="degree must be 0 or 1, got 3"):
+        kclass_from_doc({"degree": 3, "terms": [5]})
     with pytest.raises(RingMismatch):
         repring_from_doc({"ring": "U(1)", "coeffs": [{"label": "1", "coeff": 1}]})
     # JSON booleans are never integers

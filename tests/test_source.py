@@ -3,15 +3,19 @@
 Every module of the package other than ``__init__.py`` (which imports to
 re-export) uses each name it imports, and no module raises a bare
 ``ValueError``: each refusal names its fault with a class from
-``errors.py``.
+``errors.py``.  Every function the benchmark's tracer wraps exists, since
+the tracer skips a missing one and its per-layer metrics then read 0.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "temperedk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "temperedk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +44,17 @@ def test_no_bare_value_error_is_raised(path):
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"]
     assert raised == []
+
+
+def _traced_groups() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.GROUPS
+
+
+@pytest.mark.parametrize("group, entry", _traced_groups().items())
+def test_every_traced_function_exists(group, entry):
+    module_name, functions = entry
+    module = importlib.import_module(f"temperedk.{module_name}")
+    assert [name for name in functions if not callable(getattr(module, name, None))] == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from temperedk import (
     ComplexCharacter,
+    InvalidN,
     LParameter,
     RealCharacter,
     RealDiscreteSummand,
@@ -16,6 +17,7 @@ from temperedk import (
     canonical_form,
     complex_parameter,
     decompose,
+    direct_sum,
     equivalent,
     galois_conjugate,
     hom_dim,
@@ -104,6 +106,21 @@ def test_equivalent_ignores_summand_order():
     a = real_parameter(RealCharacter(0, 1), RealCharacter(1, 2))
     b = real_parameter(RealCharacter(1, 2), RealCharacter(0, 1))
     assert equivalent(a, b)
+
+
+def test_parameters_live_over_one_side():
+    with pytest.raises(SideMismatch, match="side must be 'R' or 'C', got 'Q'"):
+        LParameter("Q", (RealCharacter(0, 0),))
+    with pytest.raises(SideMismatch, match="does not live over side 'C'"):
+        LParameter("C", (ComplexCharacter(1, 0), RealCharacter(0, 0)))
+    with pytest.raises(SideMismatch, match="cannot sum parameters over different sides"):
+        real_parameter(RealCharacter(0, 0)) + complex_parameter(ComplexCharacter(0, 0))
+    assert real_parameter(RealCharacter(0, 0)).__add__(1) is NotImplemented
+
+
+def test_direct_sum_of_nothing():
+    with pytest.raises(InvalidN, match="direct_sum needs at least one parameter"):
+        direct_sum([])
 
 
 def test_conjugate_complex_characters_are_inequivalent():
