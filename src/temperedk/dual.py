@@ -28,6 +28,7 @@ from math import comb, factorial
 from typing import Iterator, Optional, Union
 
 from .errors import InvalidLabel, InvalidN, InvalidTruncation, LabelMismatch
+from .weil import _check_int, _is_int
 
 SIGN_ID = "id"
 SIGN_SGN = "sgn"
@@ -41,9 +42,8 @@ def _sorted_labels(labels) -> tuple[int, ...]:
     """``labels`` as a sorted tuple; TypeError naming a label that is not an int."""
     labels = list(labels)
     for label in labels:
-        # bool is a subclass of int, but True is not a label
-        if type(label) is not int and (isinstance(label, bool) or not isinstance(label, int)):
-            raise TypeError(f"component labels must be integers, got {label!r}")
+        if type(label) is not int:
+            _check_int(label, "component labels")
     labels.sort()
     return tuple(labels)
 
@@ -67,7 +67,7 @@ class RealComponent:
         # sorted, so the first label is the least
         if discrete and discrete[0] < 1:
             raise InvalidLabel("discrete-series labels must be >= 1")
-        if id_count < 0 or sgn_count < 0:
+        if _check_int(id_count, "sign counts") < 0 or _check_int(sgn_count, "sign counts") < 0:
             raise InvalidN("sign counts must be nonnegative")
         if not (discrete or id_count + sgn_count):
             raise InvalidN("a component needs n >= 1")
@@ -201,7 +201,7 @@ class TemperedPoint:
     def __post_init__(self) -> None:
         fixed = []
         for label, t in self.coords:
-            if isinstance(label, bool) or (not isinstance(label, int) and label not in SIGNS):
+            if type(label) is not int and not _is_int(label) and label not in SIGNS:
                 raise LabelMismatch(f"bad coordinate label {label!r}")
             fixed.append((label, Fraction(t)))
         fixed.sort(key=_coord_key)

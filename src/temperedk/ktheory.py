@@ -47,7 +47,7 @@ from .dual import (
     is_cone,
 )
 from .errors import DegreeMismatch, RingMismatch, UnknownGenerator
-from .weil import COMPLEX, REAL, _check_side
+from .weil import COMPLEX, REAL, _check_int, _check_side, _is_int
 
 RING_U1 = "U(1)"
 RING_Z2 = "Z/2Z"
@@ -62,13 +62,6 @@ def _check_degree(degree: int) -> int:
     return degree
 
 
-def _check_coeff(coeff) -> int:
-    # bool is a subclass of int, but True is not a coefficient
-    if type(coeff) is not int and (isinstance(coeff, bool) or not isinstance(coeff, int)):
-        raise TypeError(f"coefficients must be integers, got {coeff!r}")
-    return coeff
-
-
 def _normalized(terms, sort_key, check_key=None) -> tuple:
     """``terms``, (key, coefficient) pairs or a mapping, in normal form:
     coefficients checked, those of equal keys summed, zeros dropped, the
@@ -80,8 +73,8 @@ def _normalized(terms, sort_key, check_key=None) -> tuple:
         for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if check_key is not None:
                 check_key(key)
-            acc[key] = acc.get(key, 0) + _check_coeff(coeff)
-    kept = ((key, coeff) for key, coeff in acc.items() if _check_coeff(coeff))
+            acc[key] = acc.get(key, 0) + _check_int(coeff, "coefficients")
+    kept = ((key, coeff) for key, coeff in acc.items() if _check_int(coeff, "coefficients"))
     return tuple(sorted(kept, key=sort_key))
 
 
@@ -235,18 +228,12 @@ def k_bc_hom(n: int, max_label: int) -> KHomomorphism:
     """
     domain = k_group(COMPLEX, n, max_label)
     codomain = k_group(REAL, n, max_label)
-    if n == 1:
-        target = ((RealComponent((), 1, 0), 1), (RealComponent((), 0, 1), 1))
+    target = ((RealComponent((), 1, 0), 1), (RealComponent((), 0, 1), 1))
 
-        def rule(degree: int, gen: Component) -> ImageTerms:
-            if degree == 1 and isinstance(gen, ComplexComponent) and gen.labels == (0,):
-                return target
-            return ()
-
-    else:
-
-        def rule(degree: int, gen: Component) -> ImageTerms:
-            return ()
+    def rule(degree: int, gen: Component) -> ImageTerms:
+        if n == 1 and degree == 1 and isinstance(gen, ComplexComponent) and gen.labels == (0,):
+            return target
+        return ()
 
     return KHomomorphism("base-change", domain, codomain, rule)
 
@@ -286,7 +273,7 @@ class RepRingElement:
 
     def _check_label(self, label) -> None:
         if self.ring == RING_U1:
-            if isinstance(label, bool) or not isinstance(label, int):
+            if type(label) is not int and not _is_int(label):
                 raise RingMismatch(f"R(U(1)) labels are integers, got {label!r}")
         elif label not in ("1", "eps"):
             raise RingMismatch(f'R(Z/2Z) labels are "1" or "eps", got {label!r}')

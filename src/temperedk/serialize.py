@@ -38,6 +38,7 @@ from .weil import (
     RealCharacter,
     RealDiscreteSummand,
     _check_side,
+    _is_int,
 )
 
 
@@ -75,26 +76,20 @@ def fraction_from_json(value) -> Fraction:
     return t
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but JSON true/false is never an integer
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _typed(doc: dict, key: str, kind):
-    """``doc[key]`` (KeyError if it is missing); UsageError if it is not a ``kind``."""
-    value = doc[key]
+def _require(doc, key: str, kind=None):
+    """``doc[key]``; UsageError if ``doc`` is not an object, ``key`` is missing
+    or, given a ``kind``, the value is not one."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise UsageError(f"missing key {key!r}") from None
+    except TypeError:
+        # a JSON value other than an object takes no string key
+        raise UsageError(f"expected a JSON object, got {type(doc).__name__}") from None
     # the exact type, as JSON gives, is tested first
-    if type(value) is not kind and not (_is_int(value) if kind is int else isinstance(value, kind)):
-        raise UsageError(f"key {key!r} has the wrong type")
-    return value
-
-
-def _require(doc, key, kind=None):
-    if not isinstance(doc, dict):
-        raise UsageError(f"expected a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        raise UsageError(f"missing key {key!r}")
-    return doc[key] if kind is None else _typed(doc, key, kind)
+    if kind is None or type(value) is kind or (_is_int(value) if kind is int else isinstance(value, kind)):
+        return value
+    raise UsageError(f"key {key!r} has the wrong type")
 
 
 def _int_list(values, what) -> list:
@@ -123,28 +118,23 @@ def component_to_doc(c: Component) -> dict:
 def component_from_doc(doc) -> Component:
     """The component of a generator document, checked in one pass: each key
     once, in the order field, n, then the keys of that field's components."""
-    if not isinstance(doc, dict):
-        raise UsageError(f"expected a JSON object, got {type(doc).__name__}")
-    try:
-        # a tuple is built left to right, so the keys are checked in order
-        field_name, n = _typed(doc, "field", str), _typed(doc, "n", int)
-        if field_name == "R":
-            q, r = _typed(doc, "q", int), _typed(doc, "r", int)
-            discrete = _int_list(doc["discrete"], '"discrete"')
-            signs = _typed(doc, "signs", list)
-            id_count, sgn_count = signs.count(SIGN_ID), signs.count(SIGN_SGN)
-            if id_count + sgn_count != len(signs):
-                raise UsageError(f'signs must be "{SIGN_ID}" or "{SIGN_SGN}"')
-            if len(discrete) != q or len(signs) != r or n != 2 * q + r:
-                raise UsageError("inconsistent component: need len(discrete) = q, len(signs) = r, n = 2q + r")
-            return RealComponent(discrete, id_count, sgn_count)
-        if field_name == "C":
-            labels = _int_list(doc["labels"], '"labels"')
-            if len(labels) != n:
-                raise UsageError("inconsistent component: need len(labels) = n")
-            return ComplexComponent(labels)
-    except KeyError as exc:
-        raise UsageError(f"missing key {exc.args[0]!r}") from None
+    # a tuple is built left to right, so the keys are checked in order
+    field_name, n = _require(doc, "field", str), _require(doc, "n", int)
+    if field_name == "R":
+        q, r = _require(doc, "q", int), _require(doc, "r", int)
+        discrete = _int_list(_require(doc, "discrete"), '"discrete"')
+        signs = _require(doc, "signs", list)
+        id_count, sgn_count = signs.count(SIGN_ID), signs.count(SIGN_SGN)
+        if id_count + sgn_count != len(signs):
+            raise UsageError(f'signs must be "{SIGN_ID}" or "{SIGN_SGN}"')
+        if len(discrete) != q or len(signs) != r or n != 2 * q + r:
+            raise UsageError("inconsistent component: need len(discrete) = q, len(signs) = r, n = 2q + r")
+        return RealComponent(discrete, id_count, sgn_count)
+    if field_name == "C":
+        labels = _int_list(_require(doc, "labels"), '"labels"')
+        if len(labels) != n:
+            raise UsageError("inconsistent component: need len(labels) = n")
+        return ComplexComponent(labels)
     raise UsageError(f'field must be "R" or "C", got {field_name!r}')
 
 
@@ -324,7 +314,7 @@ def _json(value, pad: str) -> str:
     documents and K-classes into their terms' ``{"coeff", "gen"}`` documents."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, dict):

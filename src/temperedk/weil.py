@@ -32,6 +32,18 @@ COMPLEX = "C"
 Rational = Union[Fraction, int, str]
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is not an integer
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, what: str):
+    """``value``; TypeError naming ``what`` and the value if it is not an integer."""
+    if type(value) is not int and not _is_int(value):
+        raise TypeError(f"{what} must be integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ComplexCharacter:
     """Unitary character of C^* with winding label ``ell`` and scalar ``t``."""
@@ -43,6 +55,7 @@ class ComplexCharacter:
     dim = 1
 
     def __post_init__(self) -> None:
+        _check_int(self.ell, "labels ell")
         object.__setattr__(self, "t", Fraction(self.t))
 
 
@@ -57,7 +70,7 @@ class RealCharacter:
     dim = 1
 
     def __post_init__(self) -> None:
-        if self.eps not in (0, 1):
+        if _check_int(self.eps, "sign twists eps") not in (0, 1):
             raise InvalidLabel(f"eps must be 0 or 1, got {self.eps!r}")
         object.__setattr__(self, "t", Fraction(self.t))
 
@@ -78,6 +91,7 @@ class RealDiscreteSummand:
     dim = 2
 
     def __post_init__(self) -> None:
+        _check_int(self.ell, "labels ell")
         object.__setattr__(self, "t", Fraction(self.t))
 
 

@@ -398,6 +398,14 @@ def test_component_labels_must_be_integers():
     assert ComplexComponent([2, -1]).labels == (-1, 2)
 
 
+def test_sign_counts_must_be_integers():
+    for bad in (1.5, 1.0, True, False, "1", F(1), None):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RealComponent((), bad, 0)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RealComponent((2,), 0, bad)
+
+
 def test_point_rejects_bad_labels():
     comp = RealComponent((), 1, 0)
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Source checks made with ``ast`` alone, since the package needs no linter.
 
 Every module of the package other than ``__init__.py`` (which imports to
-re-export) uses each name it imports, and no module raises a bare
-``ValueError``: each refusal names its fault with a class from
-``errors.py``.  Every function the benchmark's tracer wraps exists, since
+re-export) uses each name it imports, every module-level private function,
+class or constant is referenced somewhere in the package, and no module
+raises a bare ``ValueError``: each refusal names its fault with a class
+from ``errors.py``.  Every function the benchmark's tracer wraps exists, since
 the tracer skips a missing one and its per-layer metrics then read 0.
 """
 
@@ -36,6 +37,47 @@ def test_every_import_is_used(path):
 def test_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nfrom typing import Any, List\nx: List = []\n"
     assert _unused_imports(source) == {"os", "Any"}
+
+
+def _unreferenced_private(sources) -> set:
+    """The module-level private definitions of ``sources`` (name -> text) whose
+    name no module loads, imports or reads as an attribute, as "module.name"."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found |= {f"{module}.{name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in used}
+    return found
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private(sources) == set()
+
+
+def test_unreferenced_private_definition_is_found():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE = 4\nclass _Box: pass\ndef _helper(): return _LIMIT\ndef _spare(): pass\n",
+        "b": "from .a import _helper\nimport a\nx = a._Box\n__all__ = []\n",
+    }
+    assert _unreferenced_private(sources) == {"a._SPARE", "a._spare"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

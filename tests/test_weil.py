@@ -1,5 +1,6 @@
 """Weil-parameter calculus: canonical forms, restriction, induction, hom spaces."""
 
+import re
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -121,6 +122,28 @@ def test_parameters_live_over_one_side():
 def test_direct_sum_of_nothing():
     with pytest.raises(InvalidN, match="direct_sum needs at least one parameter"):
         direct_sum([])
+
+
+# values that are not integers, bool included; float and Fraction compare equal to 1
+NOT_INTS = (1.5, 1.0, True, False, "1", F(1), None)
+
+
+def test_complex_character_label_must_be_an_integer():
+    for bad in NOT_INTS:
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            ComplexCharacter(bad, 0)
+
+
+def test_real_character_eps_must_be_an_integer():
+    for bad in NOT_INTS:
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RealCharacter(bad, 0)
+
+
+def test_discrete_summand_label_must_be_an_integer():
+    for bad in NOT_INTS:
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RealDiscreteSummand(bad, 0)
 
 
 def test_conjugate_complex_characters_are_inequivalent():
