@@ -21,14 +21,13 @@ searched without building it; ``enumerate_components_real`` and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InvalidLabel, InvalidN, InvalidTruncation, LabelMismatch
-from .weil import _check_int, _is_int
+from .weil import _Value, _check_int, _is_int
 
 SIGN_ID = "id"
 SIGN_SGN = "sgn"
@@ -48,18 +47,14 @@ def _sorted_labels(labels) -> tuple[int, ...]:
     return tuple(labels)
 
 
-@dataclass(frozen=True, init=False)
-class RealComponent:
+class RealComponent(_Value):
     """Component of the tempered dual of GL(n, R).
 
     ``discrete`` holds the q discrete-series labels (sorted, each >= 1)
     and the sign characters are stored as counts, id_count + sgn_count = r.
     """
 
-    discrete: tuple[int, ...]
-    id_count: int = 0
-    sgn_count: int = 0
-
+    __slots__ = ("discrete", "id_count", "sgn_count")
     field = "R"
 
     def __init__(self, discrete, id_count: int = 0, sgn_count: int = 0) -> None:
@@ -71,14 +66,9 @@ class RealComponent:
             raise InvalidN("sign counts must be nonnegative")
         if not (discrete or id_count + sgn_count):
             raise InvalidN("a component needs n >= 1")
-        self.__dict__.update(discrete=discrete, id_count=id_count, sgn_count=sgn_count)
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed on first use and kept
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.discrete, self.id_count, self.sgn_count))
-        return h
+        object.__setattr__(self, "discrete", discrete)
+        object.__setattr__(self, "id_count", id_count)
+        object.__setattr__(self, "sgn_count", sgn_count)
 
     @property
     def q(self) -> int:
@@ -102,33 +92,24 @@ class RealComponent:
         return (SIGN_ID,) * self.id_count + (SIGN_SGN,) * self.sgn_count
 
 
-@dataclass(frozen=True, init=False)
-class ComplexComponent:
+class ComplexComponent(_Value):
     """Component of the tempered dual of GL(n, C): n character labels."""
 
-    labels: tuple[int, ...]
-
+    __slots__ = ("labels",)
     field = "C"
 
     def __init__(self, labels) -> None:
         labels = _sorted_labels(labels)
         if not labels:
             raise InvalidN("a component needs n >= 1")
-        self.__dict__["labels"] = labels
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_sorted(cls, labels: tuple[int, ...]) -> "ComplexComponent":
         """The component with ``labels``, already a nonempty sorted tuple of ints: no checks."""
         c = object.__new__(cls)
-        c.__dict__["labels"] = labels
+        object.__setattr__(c, "labels", labels)
         return c
-
-    def __hash__(self) -> int:
-        # the generated dataclass hash, computed on first use and kept
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.labels,))
-        return h
 
     @property
     def n(self) -> int:
@@ -149,20 +130,20 @@ def component_sort_key(c: Component):
     return ("C", c.labels)
 
 
-@dataclass(frozen=True)
-class IsotropyDescriptor:
+class IsotropyDescriptor(_Value):
     """Cycle type of the finite group permuting equal labels of a component.
 
     ``factors`` lists the multiplicities >= 2; the group is the product
     of the corresponding symmetric groups.
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
-        if any(m < 2 for m in self.factors):
+    def __init__(self, factors: Iterable[int]) -> None:
+        factors = tuple(sorted(factors))
+        if any(m < 2 for m in factors):
             raise InvalidN("isotropy factors must be >= 2")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def trivial(self) -> bool:
@@ -183,8 +164,7 @@ def _coord_key(coord: tuple[SlotLabel, Fraction]):
     return (0, label, t)
 
 
-@dataclass(frozen=True)
-class TemperedPoint:
+class TemperedPoint(_Value):
     """A tempered representation: a component plus one scalar per block.
 
     ``coords`` pairs each slot label with its scalar.  The slots may be
@@ -195,24 +175,24 @@ class TemperedPoint:
     the component's slots (``LabelMismatch`` otherwise).
     """
 
-    component: Component
-    coords: tuple[tuple[SlotLabel, Fraction], ...]
+    __slots__ = ("component", "coords")
 
-    def __post_init__(self) -> None:
+    def __init__(self, component: Component, coords) -> None:
         fixed = []
-        for label, t in self.coords:
+        for label, t in coords:
             if type(label) is not int and not _is_int(label) and label not in SIGNS:
                 raise LabelMismatch(f"bad coordinate label {label!r}")
             fixed.append((label, Fraction(t)))
         fixed.sort(key=_coord_key)
-        comp = self.component
         # sorted slot labels of the component, in the order _coord_key gives
-        slots = comp.discrete + comp.signs if isinstance(comp, RealComponent) else comp.labels
+        slots = (component.discrete + component.signs if isinstance(component, RealComponent)
+                 else component.labels)
         labels = tuple(label for label, _ in fixed)
         if labels != slots:
             raise LabelMismatch(
                 f"coordinate labels {list(labels)} do not match component slots {list(slots)}"
             )
+        object.__setattr__(self, "component", component)
         object.__setattr__(self, "coords", tuple(fixed))
 
 
@@ -249,8 +229,7 @@ def is_cone(c: Component) -> bool:
     return not isotropy(c).trivial
 
 
-@dataclass(frozen=True)
-class ListingBlock:
+class ListingBlock(_Value):
     """One row family of a listing.
 
     A row is a k-element set of labels drawn from ``labels`` (a multiset
@@ -261,11 +240,7 @@ class ListingBlock:
     is built in constant time whatever r is.
     """
 
-    r: Optional[int]
-    id_counts: range
-    labels: range
-    k: int
-    repeat: bool
+    __slots__ = ("r", "id_counts", "labels", "k", "repeat")
 
     @property
     def size(self) -> int:
@@ -305,15 +280,17 @@ class ListingBlock:
                                      and (self.repeat or len(set(labels)) == k))
 
 
-@dataclass(frozen=True)
-class ComponentListing:
+class ComponentListing(_Value):
     """A re-iterable listing of components, block after block.
 
     ``size`` is the count, a sum of binomial coefficients; ``in`` asks
     each block; iterating builds the components one at a time.
     """
 
-    blocks: tuple[ListingBlock, ...] = ()
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[ListingBlock, ...] = ()) -> None:
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def size(self) -> int:

@@ -33,8 +33,7 @@ listing and sums the images in one dict into one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .dual import (
     Component,
@@ -47,7 +46,7 @@ from .dual import (
     is_cone,
 )
 from .errors import DegreeMismatch, RingMismatch, UnknownGenerator
-from .weil import COMPLEX, REAL, _check_int, _check_side, _is_int
+from .weil import COMPLEX, REAL, _Value, _check_int, _check_side, _is_int
 
 RING_U1 = "U(1)"
 RING_Z2 = "Z/2Z"
@@ -82,8 +81,7 @@ def _coefficient(terms, key) -> int:
     return next((coeff for k, coeff in terms if k == key), 0)
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(_Value):
     """Integer combination of component generators in one degree.
 
     Terms are normalized on construction: coefficients of equal
@@ -91,13 +89,11 @@ class KClass:
     the component order, so structural equality is semantic equality.
     """
 
-    degree: int
-    terms: tuple[tuple[Component, int], ...] = ()
+    __slots__ = ("degree", "terms")
 
-    def __post_init__(self) -> None:
-        _check_degree(self.degree)
-        terms = _normalized(self.terms, lambda term: component_sort_key(term[0]))
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, degree: int, terms=()) -> None:
+        object.__setattr__(self, "degree", _check_degree(degree))
+        object.__setattr__(self, "terms", _normalized(terms, lambda term: component_sort_key(term[0])))
 
     @property
     def is_zero(self) -> bool:
@@ -133,8 +129,7 @@ _SCHEMA_TAIL = {
 }
 
 
-@dataclass(frozen=True)
-class GradedKGroup:
+class GradedKGroup(_Value):
     """The two K-groups of one reduced group C*-algebra, truncated at a label bound.
 
     Only (field, n, max_label) is stored: each degree's generators are one
@@ -142,9 +137,7 @@ class GradedKGroup:
     asked for, and its ranges give the rank, the schema and membership.
     """
 
-    field: str
-    n: int
-    max_label: int
+    __slots__ = ("field", "n", "max_label")
 
     def listing(self, degree: int) -> ComponentListing:
         """The generators of one degree, in ``component_sort_key`` order, unbuilt."""
@@ -194,14 +187,11 @@ def k_group(field_name: str, n: int, max_label: int) -> GradedKGroup:
     return GradedKGroup(_check_side(field_name), n, max_label)
 
 
-@dataclass(frozen=True)
-class KHomomorphism:
+class KHomomorphism(_Value):
     """Graded-group map given by a label-wise rule: ``rule(degree, gen)`` is ``gen``'s image terms."""
 
-    name: str
-    domain: GradedKGroup
-    codomain: GradedKGroup
-    rule: Callable[[int, Component], ImageTerms] = field(compare=False, repr=False)
+    __slots__ = ("name", "domain", "codomain", "rule")
+    _fields = __slots__[:3]  # maps are compared and shown without their rule
 
     def on_generator(self, degree: int, gen: Component) -> KClass:
         return apply_hom(self, KClass(degree, ((gen, 1),)))
@@ -257,19 +247,17 @@ def k_ai_hom(n: int, max_label: int) -> KHomomorphism:
     return KHomomorphism("automorphic-induction", domain, codomain, rule)
 
 
-@dataclass(frozen=True)
-class RepRingElement:
+class RepRingElement(_Value):
     """Element of a character ring: R(U(1)) with integer labels, or
     R(Z/2Z) with labels "1" (trivial) and "eps" (sign)."""
 
-    ring: str
-    coeffs: tuple[tuple[Union[int, str], int], ...] = ()
+    __slots__ = ("ring", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.ring not in (RING_U1, RING_Z2):
-            raise RingMismatch(f"unknown ring {self.ring!r}")
-        coeffs = _normalized(self.coeffs, self._label_key, self._check_label)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, ring: str, coeffs: Iterable[tuple[Union[int, str], int]] = ()) -> None:
+        if ring not in (RING_U1, RING_Z2):
+            raise RingMismatch(f"unknown ring {ring!r}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", _normalized(coeffs, self._label_key, self._check_label))
 
     def _check_label(self, label) -> None:
         if self.ring == RING_U1:

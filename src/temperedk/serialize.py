@@ -56,9 +56,7 @@ def fraction_to_str(t: Fraction, name: str = "rational") -> str:
 
 
 def fraction_from_json(value) -> Fraction:
-    if isinstance(value, bool):
-        raise UsageError(f"bad rational {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         t = Fraction(value)
     elif isinstance(value, str):
         try:

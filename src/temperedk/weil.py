@@ -20,8 +20,8 @@ and equality is decidable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import InvalidLabel, InvalidN, SideMismatch
@@ -44,39 +44,73 @@ def _check_int(value, what: str):
     return value
 
 
-@dataclass(frozen=True)
-class ComplexCharacter:
+class _Value:
+    """Base of the value types: immutable and slotted; compared, hashed and
+    shown by its ``_fields`` (``__slots__`` unless the type names fewer).  A
+    type that checks its input sets each field once in its own ``__init__``;
+    the others take their slots positionally here."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        # reads, in C, the one field or the tuple of several that is compared and hashed
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ComplexCharacter(_Value):
     """Unitary character of C^* with winding label ``ell`` and scalar ``t``."""
 
-    ell: int
-    t: Fraction
-
+    __slots__ = ("ell", "t")
     side = COMPLEX
     dim = 1
 
-    def __post_init__(self) -> None:
-        _check_int(self.ell, "labels ell")
-        object.__setattr__(self, "t", Fraction(self.t))
+    def __init__(self, ell: int, t: Rational) -> None:
+        object.__setattr__(self, "ell", _check_int(ell, "labels ell"))
+        object.__setattr__(self, "t", Fraction(t))
 
 
-@dataclass(frozen=True)
-class RealCharacter:
+class RealCharacter(_Value):
     """One-dimensional summand over R: sign twist ``eps`` in {0,1}, scalar ``t``."""
 
-    eps: int
-    t: Fraction
-
+    __slots__ = ("eps", "t")
     side = REAL
     dim = 1
 
-    def __post_init__(self) -> None:
-        if _check_int(self.eps, "sign twists eps") not in (0, 1):
-            raise InvalidLabel(f"eps must be 0 or 1, got {self.eps!r}")
-        object.__setattr__(self, "t", Fraction(self.t))
+    def __init__(self, eps: int, t: Rational) -> None:
+        if _check_int(eps, "sign twists eps") not in (0, 1):
+            raise InvalidLabel(f"eps must be 0 or 1, got {eps!r}")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "t", Fraction(t))
 
 
-@dataclass(frozen=True)
-class RealDiscreteSummand:
+class RealDiscreteSummand(_Value):
     """Two-dimensional summand over R with winding label ``ell`` and scalar ``t``.
 
     Raw labels ``ell <= 0`` are accepted on input; ``LParameter``
@@ -84,15 +118,13 @@ class RealDiscreteSummand:
     characters.  Parameters only ever contain ``ell >= 1``.
     """
 
-    ell: int
-    t: Fraction
-
+    __slots__ = ("ell", "t")
     side = REAL
     dim = 2
 
-    def __post_init__(self) -> None:
-        _check_int(self.ell, "labels ell")
-        object.__setattr__(self, "t", Fraction(self.t))
+    def __init__(self, ell: int, t: Rational) -> None:
+        object.__setattr__(self, "ell", _check_int(ell, "labels ell"))
+        object.__setattr__(self, "t", Fraction(t))
 
 
 Summand = Union[ComplexCharacter, RealCharacter, RealDiscreteSummand]
@@ -114,8 +146,7 @@ def _summand_key(s: Summand):
     return (0, s.ell, s.t)
 
 
-@dataclass(frozen=True)
-class LParameter:
+class LParameter(_Value):
     """Finite direct sum of irreducible summands over one side (R or C).
 
     The summands may be given raw and in any order.  Over R every
@@ -125,15 +156,14 @@ class LParameter:
     in the canonical total order.
     """
 
-    side: str
-    summands: tuple[Summand, ...]
+    __slots__ = ("side", "summands")
 
-    def __post_init__(self) -> None:
-        _check_side(self.side)
+    def __init__(self, side: str, summands: Iterable[Summand]) -> None:
+        _check_side(side)
         out: list[Summand] = []
-        for s in self.summands:
-            if s.side != self.side:
-                raise SideMismatch(f"summand {s!r} does not live over side {self.side!r}")
+        for s in summands:
+            if s.side != side:
+                raise SideMismatch(f"summand {s!r} does not live over side {side!r}")
             if isinstance(s, RealDiscreteSummand) and s.ell < 1:
                 if s.ell == 0:
                     out += (RealCharacter(0, s.t), RealCharacter(1, s.t))
@@ -143,6 +173,7 @@ class LParameter:
         if not out:
             raise InvalidN("a parameter needs at least one summand")
         out.sort(key=_summand_key)
+        object.__setattr__(self, "side", side)
         object.__setattr__(self, "summands", tuple(out))
 
     @property

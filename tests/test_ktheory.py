@@ -539,25 +539,23 @@ def test_apply_hom_builds_one_class(monkeypatch):
     x = KClass(0, tuple((g, (-1) ** i * (i + 1)) for i, g in enumerate(h.domain.generators(0)[:200])))
     assert len(x.terms) == 200
     built = []
-    post_init = KClass.__post_init__
+    init = KClass.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(KClass, "__post_init__", counting)
+    monkeypatch.setattr(KClass, "__init__", counting)
     image = apply_hom(h, x)
     assert built == [image]
     assert len(image.terms) == 200
 
 
-def test_component_hash_is_the_field_hash_and_kept():
+def test_component_hash_is_the_field_hash():
     r = RealComponent((3, 1), 1, 2)
     c = ComplexComponent((4, -1))
-    assert "_hash" not in vars(r) and "_hash" not in vars(c)
-    assert hash(r) == hash(((1, 3), 1, 2)) and hash(c) == hash(((-1, 4),))
-    assert vars(r)["_hash"] == hash(r) and vars(c)["_hash"] == hash(c)
-    # the kept hash is not a field
+    # several fields hash as their tuple, one field as itself
+    assert hash(r) == hash(((1, 3), 1, 2)) and hash(c) == hash((-1, 4))
     assert r == RealComponent((1, 3), 1, 2) and repr(c) == "ComplexComponent(labels=(-1, 4))"
     assert ComplexComponent.from_sorted((-1, 4)) == c
     assert hash(ComplexComponent.from_sorted((-1, 4))) == hash(c)

@@ -1,6 +1,7 @@
 """JSON codecs: exact-rational strings, document shapes, round trips."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -58,6 +59,10 @@ def test_fraction_from_json():
     for bad in ("x", "1/0", 1.5, None, True, [1]):
         with pytest.raises(UsageError):
             fraction_from_json(bad)
+    # a JSON true is not an integer, and is refused like any other non-rational
+    for flag in (True, False):
+        with pytest.raises(UsageError, match=re.escape(f'rationals must be integers or "p/q" strings, got {flag}')):
+            fraction_from_json(flag)
 
 
 @given(parameters)

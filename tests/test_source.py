@@ -4,7 +4,9 @@ Every module of the package other than ``__init__.py`` (which imports to
 re-export) uses each name it imports, every module-level private function,
 class or constant is referenced somewhere in the package, and no module
 raises a bare ``ValueError``: each refusal names its fault with a class
-from ``errors.py``.  Every function the benchmark's tracer wraps exists, since
+from ``errors.py``.  The value types are built one way, on ``weil._Value``:
+no module imports ``dataclasses``, no class defines ``__post_init__``, and
+no instance of an exported value type has a ``__dict__``.  Every function the benchmark's tracer wraps exists, since
 the tracer skips a missing one and its per-layer metrics then read 0.
 """
 
@@ -14,6 +16,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import temperedk
+from temperedk.weil import _Value
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "temperedk"
@@ -86,6 +91,24 @@ def test_no_bare_value_error_is_raised(path):
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"]
     assert raised == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    post_init = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for item in node.body if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"]
+    assert "dataclasses" not in imported and post_init == []
+
+
+def test_exported_values_are_slotted():
+    exported = [value for value in vars(temperedk).values()
+                if isinstance(value, type) and not issubclass(value, BaseException)]
+    assert len(exported) == 14 and all(issubclass(cls, _Value) for cls in exported)
+    # built without its checks, an instance shows what its class gives it
+    assert [cls.__name__ for cls in exported if hasattr(object.__new__(cls), "__dict__")] == []
 
 
 def _traced_groups() -> dict:
