@@ -9,7 +9,10 @@ documents.  Exit codes: 0 success, 2 usage or validation problem,
 (InvalidN, InvalidTruncation), and the value types check the payloads,
 so each fault has one name whichever verb meets it.  A components or
 kgroup listing longer than ROW_BUDGET rows is refused (BudgetExceeded,
-exit 2) before any row is built.
+exit 2) before any row is built, in bounded time: the count stops
+multiplying up a binomial once it passes the budget, and an R listing
+whose size n alone puts it past the budget is refused before its blocks
+are built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 import json
 import sys
 
-from .dual import RealComponent, complex_components, real_components
+from .dual import RealComponent, _check_bounds, complex_components, real_components
 from .errors import BudgetExceeded, SideMismatch, UsageError
 from .ktheory import apply_hom, k_ai_hom, k_bc_hom, k_group, repring_bc
 from .langlands import (
@@ -72,8 +75,8 @@ def _read_payload(text: str):
         text = sys.stdin.read()
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, and the int-digit limit on long integer literals
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the int-digit limit on long integer literals, and nesting too deep to decode
         raise UsageError(f"malformed JSON payload: {exc}") from None
 
 
@@ -127,11 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_components(args) -> dict:
-    listing = (real_components if args.field == "R" else complex_components)(args.n, args.max_label)
-    _check_budget(listing.size)
+    n = args.n
+    if args.field == "R":
+        _check_bounds(n, args.max_label)
+        # at max_label 1 each Levi class lists its r + 1 sign splits, (n//2 + 1)(n - n//2 + 1) rows in
+        # all, and a larger max_label lists more, so a large n is refused before its blocks are built
+        _check_budget((n // 2 + 1) * (n - n // 2 + 1))
+    listing = (real_components if args.field == "R" else complex_components)(n, args.max_label)
+    _check_budget(listing.count(ROW_BUDGET))
     return {
         "field": args.field,
-        "n": args.n,
+        "n": n,
         "max_label": args.max_label,
         "count": listing.size,
         "components": listing,
@@ -141,7 +150,7 @@ def _cmd_components(args) -> dict:
 def _cmd_kgroup(args) -> dict:
     group = k_group(args.field, args.n, args.max_label)
     degrees = (0, 1) if args.degree is None else (args.degree,)
-    _check_budget(sum(group.rank(j) for j in degrees))
+    _check_budget(sum(group.listing(j).count(ROW_BUDGET) for j in degrees))
     return kgroup_to_doc(group, degrees)
 
 

@@ -11,9 +11,10 @@ is a closed cone and contributes nothing to K-theory.
 Families of components are listed by a ``ComponentListing``: a
 re-iterable value made of blocks, each the k-element label sets (or
 multisets) of one range, every set taken with each sign split of the
-block.  Its ``size`` is a sum of binomial coefficients and ``in`` checks
-a component against each block's ranges, so a listing is counted and
-searched without building it; ``enumerate_components_real`` and
+block.  Its ``size`` is a sum of binomial coefficients (``count(cap)``
+stops multiplying once past a cap) and ``in`` checks a component against
+each block's ranges, so a listing is counted and searched without
+building it; ``enumerate_components_real`` and
 ``enumerate_components_complex`` are lists of the listings that
 ``real_components`` and ``complex_components`` return.
 """
@@ -229,6 +230,20 @@ def is_cone(c: Component) -> bool:
     return not isotropy(c).trivial
 
 
+def _comb(m: int, k: int, cap=None) -> int:
+    """C(m, k); given a cap, the multiplication stops at the first C(m - k + j, j) past it, which
+    is at most C(m, k), so at most about log2(cap) steps are taken."""
+    if cap is None or not 0 <= k <= m:
+        return comb(m, k)
+    k, value = min(k, m - k), 1
+    for j in range(1, k + 1):
+        # C(m - k + j, j) grows with j, at least doubling while j <= k <= m - k
+        value = value * (m - k + j) // j
+        if value > cap:
+            break
+    return value
+
+
 class ListingBlock(_Value):
     """One row family of a listing.
 
@@ -242,12 +257,14 @@ class ListingBlock(_Value):
 
     __slots__ = ("r", "id_counts", "labels", "k", "repeat")
 
-    @property
-    def size(self) -> int:
-        """The number of components, from binomial coefficients."""
+    def count(self, cap=None) -> int:
+        """The number of components, from binomial coefficients; given a cap, a number
+        past the cap may stand for a larger count."""
         m = len(self.labels)
-        sets = comb(m + self.k - 1, self.k) if self.repeat else comb(m, self.k)
+        sets = _comb(m + self.k - 1, self.k, cap) if self.repeat else _comb(m, self.k, cap)
         return sets if self.r is None else sets * len(self.id_counts)
+
+    size = property(count)
 
     def label_sets(self) -> Iterator[tuple[int, ...]]:
         """The label sets of the rows, in order."""
@@ -292,9 +309,11 @@ class ComponentListing(_Value):
     def __init__(self, blocks: tuple[ListingBlock, ...] = ()) -> None:
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def size(self) -> int:
-        return sum(block.size for block in self.blocks)
+    def count(self, cap=None) -> int:
+        """The sum of the blocks' counts, each given the cap."""
+        return sum(block.count(cap) for block in self.blocks)
+
+    size = property(count)
 
     def __iter__(self) -> Iterator[Component]:
         return chain.from_iterable(self.blocks)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -360,6 +361,64 @@ def test_listing_over_the_row_budget_is_refused_at_once(capsys, monkeypatch):
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "BudgetExceeded"
+
+
+def test_over_budget_counts_stop_at_the_budget(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a whole count or listing was built")
+
+    monkeypatch.setattr(dual, "comb", refuse)
+    monkeypatch.setattr(dual, "combinations", refuse)
+    monkeypatch.setattr(dual, "combinations_with_replacement", refuse)
+    argvs = [
+        # C(20000, 10000), C(81, 6) and C(2100, 100): the counts stop once they pass the budget
+        ("kgroup", "--field", "R", "--n", "20000", "--max-label", "20000"),
+        ("kgroup", "--field", "C", "--n", "6", "--max-label", "40"),
+        ("components", "--field", "C", "--n", "6", "--max-label", "40"),
+        ("components", "--field", "R", "--n", "12", "--max-label", "40"),
+        ("kgroup", "--field", "C", "--n", "100", "--max-label", "1000"),
+    ]
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and json.loads(err)["error"] == "BudgetExceeded"
+    # past n = 1,998 an R listing is over budget whatever max_label is, so no block is built
+    monkeypatch.setattr(cli, "real_components", refuse)
+    for n in ("1999", "400000", "9" * 4000):
+        code, out, err = run_cli(capsys, "components", "--field", "R", "--n", n, "--max-label", "1")
+        assert code == 2 and out == "" and json.loads(err)["error"] == "BudgetExceeded"
+    code, _, err = run_cli(capsys, "components", "--field", "R", "--n", "400000", "--max-label", "0")
+    assert code == 2 and json.loads(err)["error"] == "InvalidTruncation"
+
+
+def test_accepted_listing_is_counted_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(m, k):
+        calls.append((m, k))
+        return comb(m, k)
+
+    monkeypatch.setattr(dual, "comb", counting)
+    # one binomial per block: the three Levi classes of GL(4, R), one block per K-group degree
+    for argv, blocks in ((("components", "--field", "R", "--n", "4", "--max-label", "3"), 3),
+                         (("kgroup", "--field", "R", "--n", "4", "--max-label", "3"), 2),
+                         (("components", "--field", "C", "--n", "2", "--max-label", "3"), 1)):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == blocks
+
+
+def test_real_listing_size_floor_at_the_budget(capsys, monkeypatch):
+    # GL(4, R) at max_label 1 lists 1 + 3 + 5 = 9 rows; GL(5, R) lists 2 + 4 + 6 = 12
+    monkeypatch.setattr(cli, "ROW_BUDGET", 9)
+    code, out, _ = run_cli(capsys, "components", "--field", "R", "--n", "4", "--max-label", "1")
+    assert code == 0 and json.loads(out)["count"] == 9
+
+    def refuse(*args):
+        raise AssertionError("blocks were built")
+
+    monkeypatch.setattr(cli, "real_components", refuse)
+    code, _, err = run_cli(capsys, "components", "--field", "R", "--n", "5", "--max-label", "1")
+    assert code == 2 and json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_budget_refusal_never_prints_the_count(capsys):

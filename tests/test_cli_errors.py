@@ -8,6 +8,10 @@ on ``components``, ``kgroup`` and ``kmap``.  ``cli_errors.json`` holds
 the exit code and stderr of every case, recorded before each input got
 one check in one place.
 
+The last cases were added later: rationals whose exponent puts them past
+the digit cap, and a payload nested too deeply to decode, read from stdin
+(``-``); ``STDIN`` holds what such a case reads.
+
 ``RENAMED`` lists the cases whose error changed since the recording, and
 nothing else.  A size below 1 is now reported by the function that
 builds the result (``InvalidN``, ``InvalidTruncation``) rather than by the
@@ -24,6 +28,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -120,7 +125,14 @@ CASES = [
     ["kmap", "--map", "ai", "--n", "-1", "--max-label", "3", "--class", EMPTY_CLASS],
     ["kgroup", "--field", "C", "--n", "2"],
     ["kmap", "--map", "bc", "--max-label", "3", "--class", EMPTY_CLASS],
+    # refused from the digit counts, before 10**e is built
+    _llc("--parameter", {"side": "R", "summands": [_with(R_CHAR, t="1e100000000")]}),
+    _llc("--parameter", {"side": "R", "summands": [_with(R_CHAR, t="1e-100000000")]}),
+    ["kmap", "--map", "bc", "--n", "1", "--class", "-"],
 ]
+
+# the stdin of the cases that read their payload from it
+STDIN = {("kmap", "--map", "bc", "--n", "1", "--class", "-"): "[" * 200_000}
 
 # the case's argv (as a tuple) -> (error, detail) it now reports; every
 # other case must match its recording byte for byte
@@ -167,8 +179,8 @@ RENAMED = {
 
 
 def run(argv) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    out, err, stdin = io.StringIO(), io.StringIO(), io.StringIO(STDIN.get(tuple(argv), ""))
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(sys, "stdin", stdin):
         code = cli.main(argv)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -1,13 +1,14 @@
 """Fuzz the command line boundary: every input exits 0 or 2, and a refusal is one named error.
 
 Inputs are arbitrary JSON payloads, one- and two-leaf mutations of a valid
-payload for each of the seven payload forms, and argv whose numbers are
-very long, negative, malformed or missing.  Whatever the input, ``main``
-must exit 0 with output and no stderr, or exit 2 with no output and one
-JSON line on stderr whose ``error`` names the fault; a bare Python error
-name there means a check is missing.  Values that would take long to
-build (exponents such as "1e100000000", sizes in the millions) are left
-out: they test resource bounds, not names.
+payload for each of the seven payload forms, payloads nested up to
+200,000 deep, and argv whose numbers are very long, negative, malformed
+or missing.  Whatever the input, ``main`` must exit 0 with output and no
+stderr, or exit 2 with no output and one JSON line on stderr whose
+``error`` names the fault; a bare Python error name there means a check
+is missing.  Exponent rationals such as "1e100000000" are refused from
+their digit counts, so they are among the strings; sizes in the millions
+are left out: they test resource bounds, not names.
 """
 
 import io
@@ -47,7 +48,7 @@ FORMS = [
 KEYS = ["side", "summands", "kind", "eps", "ell", "t", "field", "n", "q", "r", "discrete",
         "signs", "labels", "coords", "label", "degree", "terms", "gen", "coeff", "ring", "coeffs"]
 STRINGS = ["", "R", "C", "Q", "id", "sgn", "eps", "1", "U(1)", "Z/2Z", "character", "discrete",
-           "1/2", "-3", "1/0", "x", "1e3", _HUGE_SLOT]
+           "1/2", "-3", "1/0", "x", "1e3", "1e100000000", "-2.5e-100000000", "0e100000000", _HUGE_SLOT]
 
 scalars = st.one_of(
     st.none(),
@@ -131,6 +132,18 @@ def test_mutated_payloads(data):
 @given(st.sampled_from(FORMS), json_values)
 def test_arbitrary_payloads(form, payload):
     check(form[0] + [_dumps(payload)])
+
+
+# opening text of a nesting level, and the text that closes it
+NESTINGS = [("[", "]"), ('{"t": ', "}"), ('{"summands": [', "]}")]
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.sampled_from(FORMS), st.sampled_from(NESTINGS), st.sampled_from([1, 40, 999, 5000, 200_000]),
+       st.booleans())
+def test_nested_payloads(form, nesting, depth, closed):
+    opener, closer = nesting
+    check(form[0] + [opener * depth + ("0" + closer * depth if closed else "")])
 
 
 NUMBERS = st.one_of(

@@ -234,6 +234,20 @@ def test_listing_blocks():
     assert dual.complex_components(100, 1000).size == comb(2100, 100)
 
 
+def test_capped_counts_are_exact_up_to_the_cap():
+    for m in range(12):
+        for k in range(m + 3):
+            for cap in (0, 1, 7, 100):
+                got, exact = dual._comb(m, k, cap), comb(m, k)
+                assert (got == exact) if exact <= cap else (got > cap)
+    for listing in (dual.real_components(6, 4), dual.complex_components(3, 2), dual.ComponentListing()):
+        assert listing.count(listing.size) == listing.size == listing.count()
+        if listing.size:
+            assert listing.count(listing.size - 1) > listing.size - 1
+    # C(2100, 100) has 179 digits; the capped count stops a few steps past the cap
+    assert 10**6 < dual.complex_components(100, 1000).count(10**6) < 10**6 * 2200
+
+
 def test_large_real_listing_is_counted_from_its_blocks():
     # one block per Levi class, holding r and a range of id counts, not the
     # r + 1 sign splits: 5,001 blocks count 25,010,001 components

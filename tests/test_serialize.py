@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +64,41 @@ def test_fraction_from_json():
     for flag in (True, False):
         with pytest.raises(UsageError, match=re.escape(f'rationals must be integers or "p/q" strings, got {flag}')):
             fraction_from_json(flag)
+
+
+def test_exponent_rationals_are_refused_from_their_digit_counts(monkeypatch):
+    from temperedk import serialize
+
+    fraction = serialize.Fraction
+
+    def no_text(value=0, *args):
+        # building 10**e for these would take minutes
+        if isinstance(value, str):
+            raise AssertionError(f"Fraction parsed {value!r}")
+        return fraction(value, *args)
+
+    monkeypatch.setattr(serialize, "Fraction", no_text)
+    cap = f"rational has a numerator or denominator longer than {sys.get_int_max_str_digits()} digits"
+    for text in ("1e100000000", "1e-100000000", "-2.5E+99999999", " 1_0e1_000_000_000 ", ".5e-100000000"):
+        with pytest.raises(UsageError, match=re.escape(cap)):
+            fraction_from_json(text)
+    # a zero mantissa is zero whatever the exponent
+    for text in ("0e100000000", "-0.000e-100000000", "0_0.0E+1_000_000_000"):
+        assert fraction_from_json(text) == 0
+
+
+def test_exponent_rationals_near_the_digit_cap():
+    # the digit-count check refuses only what the check on the built value refuses
+    limit = sys.get_int_max_str_digits()
+    for mantissa in ("1", "5", "8", "25", "0.5", "123.456", "100", "-0.0040"):
+        for exponent in [base + step for base in (limit, -limit, -limit - 3) for step in range(-4, 5)]:
+            text = f"{mantissa}e{exponent}"
+            exact = F(text)
+            if max(abs(exact.numerator), exact.denominator) >= 10**limit:
+                with pytest.raises(UsageError, match="longer than"):
+                    fraction_from_json(text)
+            else:
+                assert fraction_from_json(text) == exact
 
 
 @given(parameters)
@@ -390,3 +426,71 @@ def test_table_kgroup_rows_match_reference():
     rows = [line for line in lines if line.startswith("  ")]
     gens = k_group("R", 5, 4).generators(0) + k_group("R", 5, 4).generators(1)
     assert rows == ["  " + _reference_line(component_to_doc(c)) for c in gens]
+
+
+def _docs(*argvs):
+    return [cli.execute(cli.parse_command(argv.split())) for argv in argvs]
+
+
+# two-digit and negative labels, a k = 0 block (the sign characters of GL(1, R)
+# and the sign pair of GL(2, R)), and rank-0 degrees, empty or of an empty block
+_WIDE_LISTINGS = (
+    "kgroup --field R --n 8 --max-label 20",
+    *[f"components --field R --n {n} --max-label 12" for n in range(1, 7)],
+    "components --field C --n 2 --max-label 11",
+    "components --field C --n 3 --max-label 11",
+    "kgroup --field R --n 1 --max-label 12",
+    "kgroup --field R --n 2 --max-label 12",
+    "kgroup --field R --n 8 --max-label 2",
+    "kgroup --field C --n 2 --max-label 11",
+)
+
+
+def _listings(doc):
+    return [doc["components"]] if "components" in doc else [info["generators"] for info in doc["degrees"].values()]
+
+
+def test_render_wide_listings_match_reference_in_both_formats():
+    labels, ks, empty = set(), set(), 0
+    for doc in _docs(*_WIDE_LISTINGS):
+        assert render(doc) == _reference(doc)
+        assert render(doc, "table") == _reference_table(doc)
+        for listing in _listings(doc):
+            empty += listing.size == 0
+            ks.update(block.k for block in listing.blocks)
+            labels.update(label for block in listing.blocks for label in block.labels)
+    assert {-11, -10, 0, 12, 20} <= labels and 0 in ks and empty >= 3
+
+
+def test_listing_rows_build_no_component(monkeypatch):
+    from temperedk import serialize
+
+    docs = _docs("kgroup --field R --n 8 --max-label 20", "components --field R --n 6 --max-label 12",
+                 "components --field C --n 3 --max-label 11", "kgroup --field R --n 2 --max-label 12")
+    blocks = [block for doc in docs for listing in _listings(doc) for block in listing.blocks]
+    # (blocks x shapes): one shape per C row, one per sign split of an R row
+    shapes = sum(1 if block.r is None else len(block.id_counts) for block in blocks)
+    rows = sum(block.size for block in blocks)
+    assert rows > 20 * shapes
+    texts, built = [], []
+    shape_text = serialize._shape_text
+
+    def counting_text(c, pad, slots):
+        texts.append(c)
+        return shape_text(c, pad, slots)
+
+    def counting(init):
+        def wrapper(self, *args):
+            built.append(args)
+            init(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(serialize, "_shape_text", counting_text)
+    for cls in (RealComponent, ComplexComponent):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    for fmt in ("json", "table"):
+        texts.clear()
+        built.clear()
+        for doc in docs:
+            render(doc, fmt)
+        assert len(texts) <= shapes and len(built) <= shapes
